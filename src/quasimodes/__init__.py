@@ -19,10 +19,8 @@ from .jwkb import (
     Certificate,
     PhaseExpansion,
     Quasimode,
-    build_eikonal,
     build_phase,
     build_quasimode,
-    build_transport,
     certify,
     cutoff_eval,
     phi_cascade,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: quasimode, sweep-h, region, high-energy, validate.  Output
-is data-only (CSV or JSON); CSV carries a header row and 17 significant
-digits.  Errors print a single machine-parsable line
-``error:<code>: <message>`` and exit with 2 (usage), 3 (infeasible
-anchor) or 4 (numerical accuracy).
+is data-only: quasimode writes JSON (default) or CSV, validate writes
+JSON and the others write CSV; any other ``--format`` is a usage error.
+CSV carries a header row and 17 significant digits.  Errors print a
+single machine-parsable line ``error:<code>: <message>`` and exit with
+2 (usage), 3 (infeasible anchor) or 4 (numerical accuracy).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _apply_config(args):
     if getattr(args, "config", None) is not None:
         cfg = _load_config(args.config)
         for key, val in cfg.items():
-            if not hasattr(args, key):
+            if not hasattr(args, key) or key in ("command", "func", "formats"):
                 raise UsageError(f"unknown config key {key!r}")
             if getattr(args, key) is None:
                 conv = _CONFIG_TYPES.get(key, str)
@@ -88,8 +89,11 @@ def _apply_config(args):
     # resolve remaining defaults after the config pass
     if getattr(args, "order", None) is None:
         args.order = 0
-    if getattr(args, "format", None) is None:
-        args.format = "json"
+    if args.format is None:
+        args.format = args.formats[0]
+    elif args.format not in args.formats:
+        raise UsageError(f"--format {args.format} is not written by "
+                         f"{args.command}; use {' or '.join(args.formats)}")
     if getattr(args, "h_list", -1) is None:
         args.h_list = DEFAULT_H_LIST
     if getattr(args, "sigma_list", -1) is None:
@@ -210,13 +214,15 @@ def cmd_validate(args):
     return 0
 
 
-def _add_common(sp):
+def _add_common(sp, formats):
+    """Options of every subcommand; it writes ``formats``, the first by default."""
     sp.add_argument("--potential", required=True, help="potential family file")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
+    sp.add_argument("--format", default=None, help=" or ".join(formats))
     sp.add_argument("--order", type=int, default=None, help="JWKB order n (default 0)")
     sp.add_argument("--trunc", type=int, default=None, help="series degree K")
     sp.add_argument("--config", default=None, help="key = value defaults file")
+    sp.set_defaults(formats=formats)
 
 
 def _add_anchor_opts(sp):
@@ -240,19 +246,19 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("quasimode", help="one certificate at an anchor")
-    _add_common(sp)
+    _add_common(sp, ("json", "csv"))
     _add_anchor_opts(sp)
     sp.set_defaults(func=cmd_quasimode)
 
     sp = sub.add_parser("sweep-h", help="residual ratios over an h grid")
-    _add_common(sp)
+    _add_common(sp, ("csv",))
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
     sp.add_argument("--h-list", default=None, dest="h_list")
     sp.set_defaults(func=cmd_sweep_h)
 
     sp = sub.add_parser("region", help="sample the instability region U")
-    _add_common(sp)
+    _add_common(sp, ("csv",))
     sp.add_argument("--h", type=float, default=None)
     for name in ("a", "eta"):
         sp.add_argument(f"--{name}-min", type=float, default=None)
@@ -261,14 +267,14 @@ def build_parser():
     sp.set_defaults(func=cmd_region)
 
     sp = sub.add_parser("high-energy", help="sigma sweep of Theorem-2 bounds")
-    _add_common(sp)
+    _add_common(sp, ("csv",))
     sp.add_argument("--z-re", type=float, default=None, dest="z_re")
     sp.add_argument("--z-im", type=float, default=None, dest="z_im")
     sp.add_argument("--sigma-list", default=None, dest="sigma_list")
     sp.set_defaults(func=cmd_high_energy)
 
     sp = sub.add_parser("validate", help="certificate vs discrete oracle")
-    _add_common(sp)
+    _add_common(sp, ("json",))
     _add_anchor_opts(sp)
     sp.add_argument("--x-lo", type=float, default=None, dest="x_lo")
     sp.add_argument("--x-hi", type=float, default=None, dest="x_hi")

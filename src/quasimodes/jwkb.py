@@ -3,37 +3,31 @@
 Pipeline, for a potential family ``P`` and a validated anchor
 ``(a, eta, h, z)``:
 
-1. :func:`build_eikonal` solves the complex eikonal equation
-   ``(psi'(s))^2 = V_h(a+s) - V_h(a) - eta^2`` in truncated series,
-   taking the square-root branch ``i*eta`` at s = 0 and integrating
-   with psi(0) = 0.  This is the leading phase ``psi[-1]``.
-2. :func:`build_transport` generates the corrections ``psi_0 .. psi_n``
-   by the transport recursion
-   ``psi_{m+1}' = rho * (psi_m'' - sum_j psi_j' psi_{m-j}')`` with
-   ``rho = 1/(2 psi_{-1}')``, normalized by psi_m(0) = 0.
-3. The same algebra is repeated at a chain of re-expansion points along
-   the real axis (:class:`PiecewisePhase`), continuing the square-root
-   branch and the integration constants from segment to segment.  A
-   single central series only converges up to the nearest complex
-   turning point, which is far too small an interval for the cutoff:
-   the exponential suppression of the cutoff commutator needs
-   ``gamma * delta^2 >> h``, and the piecewise representation makes
-   radii of a few length units available.
-4. :func:`select_delta` certifies, on a 512-point grid over
-   ``[-delta, delta]``, a concentration rate gamma with
-   ``gamma*s^2 <= Re psi_{-1}(s) <= 3*gamma*s^2`` and a finite bound on
-   ``rho``; delta starts at the piecewise coverage and shrinks until
-   certification succeeds.
-5. :func:`residual_ratio` evaluates the exact pointwise residual of
+1. :func:`_local_series` expands at a centre: the eikonal right-hand
+   side ``V_h(a+c+t) - V_h(a) - eta^2`` in Taylor series, its square
+   root ``psi_{-1}'`` (branch ``i*eta`` at s = 0), the transport
+   corrections ``psi_{m+1}' = rho * (psi_m'' - sum_j psi_j' psi_{m-j}')``
+   with ``rho = 1/(2 psi_{-1}')``, and the coefficients ``phi_j`` of
+   ``Hf - zf = (sum_j h^j phi_j) f``.  :func:`build_phase` is this
+   expansion at s = 0, normalized by ``psi_m(0) = 0``.
+2. :func:`build_piecewise` repeats it at a chain of centres along the
+   real axis, continuing the square-root branch and the integration
+   constants.  A single central series only converges up to the nearest
+   complex turning point, far too small an interval for the cutoff: the
+   suppression of the cutoff commutator needs ``gamma * delta^2 >> h``.
+   Each segment keeps ``psi_{-1}``, ``psi_{-1}'`` and, folded with h,
+   ``sum_m h^m psi_m`` and the tail ``sum_j h^j phi_j``.
+3. :func:`select_delta` chooses delta on a ``GAMMA_GRID``-point grid and
+   certifies gamma with ``gamma*s^2 <= Re psi_{-1}(s)`` and a bound on
+   ``|rho|`` on ``[-delta, delta]``.
+4. :func:`residual_ratio` evaluates the exact pointwise residual of
    ``f~ = cutoff * exp(-psi)`` (with the true potential, not a Taylor
    truncation) by composite Gauss-Legendre quadrature and returns a
    :class:`Certificate` whose ``lower_bound = 1/r`` bounds the
    resolvent norm at z from below.
 
-:func:`phi_cascade` reconstructs the coefficient functions of
-``Hf - zf = (sum_m h^m phi_m) f``; the transport recursion forces
-``phi_0 .. phi_{n+1}`` to vanish and the surviving tail
-``phi_{n+2} .. phi_{2n+2}`` drives the O(h^{n+2}) residual.
+The transport recursion forces ``phi_0 .. phi_{n+1}`` to vanish; the
+tail ``phi_{n+2} .. phi_{2n+2}`` drives the O(h^{n+2}) residual.
 """
 
 from __future__ import annotations
@@ -47,12 +41,8 @@ from .errors import AccuracyError, DegenerateAnchorError, UsageError
 from .potential import HALF_LINE, Anchor
 from .series import TruncatedSeries
 
-#: grid points used to certify (delta, gamma)
-GAMMA_GRID = 512
-
-#: delta shrink factor and maximum shrink steps during certification
-DELTA_SHRINK = 0.9
-MAX_SHRINKS = 40
+#: grid points (over [-span, span]) used to choose delta and certify gamma
+GAMMA_GRID = 4096
 
 #: Gauss-Legendre nodes per quadrature panel
 PANEL_NODES = 16
@@ -76,36 +66,13 @@ def default_truncation(n):
     return 2 * n + 16
 
 
-@dataclass
-class PhaseExpansion:
-    """Central phases psi_{-1}, psi_0, ..., psi_n; ``psi[0]`` is psi_{-1}."""
-
-    psi: list  # of TruncatedSeries, length n + 2
-    n: int
-    K: int
-    anchor: Anchor
-
-
-# -- central construction -------------------------------------------------
+# -- local expansion ------------------------------------------------------
 
 
 def eikonal_rhs(P, anchor, K, at=0.0):
     """Series of V_h(a + at + t) - V_h(a) - eta^2 in the shift t."""
     rhs = P.taylor_at(anchor.h, anchor.a + at, K)
     return rhs.shifted_constant(-(P.eval(anchor.h, anchor.a) + anchor.eta**2))
-
-
-def build_eikonal(P, anchor, K):
-    """Leading phase psi_{-1}: antiderivative of the branch i*eta root."""
-    rhs = eikonal_rhs(P, anchor, K)
-    dpsi = rhs.sqrt(1j * anchor.eta)
-    psi = dpsi.antideriv(0.0)
-    # concentration requires Re of the s^2 coefficient = Im V'(a)/(4 eta) > 0
-    if psi.coeffs[2].real <= 0:
-        raise DegenerateAnchorError(
-            "quadratic phase coefficient has nonpositive real part"
-        )
-    return psi
 
 
 def _transport_derivs(dpsi_m1, n):
@@ -120,31 +87,18 @@ def _transport_derivs(dpsi_m1, n):
     return derivs
 
 
-def build_transport(psi_m1, n):
-    """Transport corrections psi_0 .. psi_n, each with psi_m(0) = 0."""
-    derivs = _transport_derivs(psi_m1.deriv(), n)
-    return [d.antideriv(0.0) for d in derivs[1:]]
+def _local_series(P, anchor, n, K, center, branch):
+    """(psi_m' for m = -1..n, phi_j for j = 0..2n+2, radius) at ``center``.
 
-
-def build_phase(P, anchor, n, K=None):
-    """Central phase expansion psi_{-1} .. psi_n at the given anchor."""
-    if n < 0:
-        raise UsageError("JWKB order must be >= 0")
-    if K is None:
-        K = default_truncation(n)
-    psi_m1 = build_eikonal(P, anchor, K)
-    return PhaseExpansion(
-        psi=[psi_m1] + build_transport(psi_m1, n), n=n, K=K, anchor=anchor
-    )
-
-
-def _phi_from_derivs(derivs, n, K, rhs):
-    """phi_0 .. phi_{2n+2} from the psi_m' series (index m+1 holds psi_m').
-
-    Each transport level consumes one differentiation, so psi_m' is only
-    exact up to degree K - 1 - m and phi_j up to degree K - j; the
-    coefficients above that are truncation noise and are cut off.
+    ``branch`` is the value of psi_{-1}' at the centre.  Each transport
+    level consumes one differentiation, so psi_m' is only exact up to
+    degree K - 1 - m and phi_j up to degree K - j; the coefficients above
+    that are truncation noise and are cut off.  The radius is the
+    smallest root-test estimate among the right-hand side and the psi_m'
+    (1 when none is finite).
     """
+    rhs = eikonal_rhs(P, anchor, K, at=center)
+    derivs = _transport_derivs(rhs.sqrt(branch), n)
     second = [d.deriv() for d in derivs]
     phis = []
     for j in range(0, 2 * n + 3):
@@ -157,9 +111,47 @@ def _phi_from_derivs(derivs, n, K, rhs):
                 acc = acc - derivs[m + 1] * derivs[k + 1]
         if j == 0:
             acc = acc + rhs
-        valid = max(K - j, 0)
-        phis.append(TruncatedSeries(acc.coeffs[: valid + 1]))
-    return phis
+        phis.append(TruncatedSeries(acc.coeffs[: max(K - j, 0) + 1]))
+    radius = min([rhs.estimate_radius()] + [d.estimate_radius() for d in derivs])
+    return derivs, phis, radius if math.isfinite(radius) else 1.0
+
+
+def _central_series(P, anchor, n, K):
+    """Checked expansion at s = 0: (K, psi_m', phi_j, radius)."""
+    if n < 0:
+        raise UsageError("JWKB order must be >= 0")
+    if K is None:
+        K = default_truncation(n)
+    derivs, phis, radius = _local_series(P, anchor, n, K, 0.0, 1j * anchor.eta)
+    # concentration requires Re of the s^2 coefficient of psi_{-1}, i.e.
+    # Re psi_{-1}''(0)/2 = Im V'(a)/(4 eta), to be positive
+    if derivs[0].coeffs[1].real <= 0:
+        raise DegenerateAnchorError(
+            "quadratic phase coefficient has nonpositive real part"
+        )
+    return K, derivs, phis, radius
+
+
+@dataclass
+class PhaseExpansion:
+    """Phases at the anchor: ``psi[0]`` is psi_{-1}, then psi_0 .. psi_n.
+
+    Each psi_m vanishes at s = 0; ``phis`` holds phi_0 .. phi_{2n+2}.
+    """
+
+    psi: list  # of TruncatedSeries, length n + 2
+    phis: list  # of TruncatedSeries, length 2n + 3
+    n: int
+    K: int
+    anchor: Anchor
+
+
+def build_phase(P, anchor, n, K=None):
+    """Phase expansion psi_{-1} .. psi_n and phi_0 .. phi_{2n+2} at s = 0."""
+    K, derivs, phis, _ = _central_series(P, anchor, n, K)
+    return PhaseExpansion(
+        psi=[d.antideriv(0.0) for d in derivs], phis=phis, n=n, K=K, anchor=anchor
+    )
 
 
 def phi_cascade(phase, P):
@@ -168,11 +160,9 @@ def phi_cascade(phase, P):
     phi_0 carries the eikonal mismatch -(psi_{-1}')^2 + V_h - z (zero by
     construction up to truncation); phi_1 .. phi_{n+1} vanish by the
     transport recursion; the tail phi_{n+2} .. phi_{2n+2} survives.
+    ``phase`` already holds them for its family ``P``.
     """
-    rhs = eikonal_rhs(P, phase.anchor, phase.K)
-    dpsi_m1 = rhs.sqrt(1j * phase.anchor.eta)
-    derivs = _transport_derivs(dpsi_m1, phase.n)
-    return _phi_from_derivs(derivs, phase.n, phase.K, rhs)
+    return phase.phis
 
 
 # -- piecewise analytic continuation --------------------------------------
@@ -181,10 +171,27 @@ def phi_cascade(phase, P):
 @dataclass
 class _Segment:
     center: float  # local coordinate s of the expansion point
-    dpsi: list  # psi_m' local series, m = -1 .. n
-    psi: list  # psi_m local series (antiderivatives with matched constants)
-    tail: list  # phi_{n+2} .. phi_{2n+2} local series
+    lead: TruncatedSeries  # psi_{-1}
+    dlead: TruncatedSeries  # psi_{-1}'
+    phase: TruncatedSeries  # sum_m h^m psi_m
+    tail: TruncatedSeries  # sum_{j=n+2}^{2n+2} h^j phi_j
     radius_est: float
+
+
+def _fold(h, n, center, derivs, phis, radius, lead0, phase0):
+    """Segment whose psi_{-1} and folded phase take lead0, phase0 at t = 0."""
+    dphase = sum(h**m * d.coeffs for m, d in enumerate(derivs, start=-1))
+    tail = np.zeros(phis[n + 2].coeffs.size, dtype=complex)
+    for j, phi in enumerate(phis[n + 2 :], start=n + 2):
+        tail[: phi.coeffs.size] += h**j * phi.coeffs
+    return _Segment(
+        center=center,
+        lead=derivs[0].antideriv(lead0),
+        dlead=derivs[0],
+        phase=TruncatedSeries(dphase).antideriv(phase0),
+        tail=TruncatedSeries(tail),
+        radius_est=radius,
+    )
 
 
 @dataclass
@@ -196,6 +203,7 @@ class PiecewisePhase:
     n: int
     K: int
     anchor: Anchor
+    tail_magnitudes: list  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
 
     @property
     def coverage(self):
@@ -204,102 +212,52 @@ class PiecewisePhase:
         right = self.centers[-1] + STEP_FRACTION * self.segments[-1].radius_est
         return left, right
 
-    def _bucket(self, s):
-        idx = np.searchsorted(self.centers, s)
-        idx = np.clip(idx, 1, len(self.centers) - 1)
-        left_closer = s - self.centers[idx - 1] < self.centers[idx] - s
-        return np.where(left_closer, idx - 1, idx)
+    def _dispatch(self, s, count, evaluate):
+        """``count`` outputs of ``evaluate(segment, t)``, each shaped like s.
+
+        A point belongs to the segment with the nearest centre (ties go
+        right); once the points are sorted, each segment's points are the
+        contiguous slice between two join midpoints.
+        """
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        joins = 0.5 * (self.centers[:-1] + self.centers[1:])
+        cuts = [0, *np.searchsorted(ordered, joins), flat.size]
+        out = np.zeros((count, flat.size), dtype=complex)
+        for seg, lo, hi in zip(self.segments, cuts[:-1], cuts[1:]):
+            if hi > lo:
+                out[:, order[lo:hi]] = evaluate(seg, ordered[lo:hi] - seg.center)
+        return out.reshape((count,) + s.shape)
 
     def phase_at(self, s):
         """(psi, psi', psi'') of sum_m h^m psi_m at s (scalar or array)."""
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s).ravel()
-        idx = self._bucket(flat)
-        h = self.anchor.h
-        v = np.zeros(flat.shape, dtype=complex)
-        d1 = np.zeros_like(v)
-        d2 = np.zeros_like(v)
-        for seg_i in np.unique(idx):
-            seg = self.segments[seg_i]
-            sel = idx == seg_i
-            t = flat[sel] - seg.center
-            for m, ps in enumerate(seg.psi, start=-1):
-                w = h**m
-                pv, p1, p2 = ps.eval_d2(t)
-                v[sel] += w * pv
-                d1[sel] += w * p1
-                d2[sel] += w * p2
-        shape = np.shape(s)
-        return v.reshape(shape), d1.reshape(shape), d2.reshape(shape)
+        return tuple(self._dispatch(s, 3, lambda seg, t: seg.phase.eval_d2(t)))
 
     def leading_at(self, s):
         """(psi_{-1}, psi_{-1}') without h weights, for certification."""
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s).ravel()
-        idx = self._bucket(flat)
-        v = np.zeros(flat.shape, dtype=complex)
-        d1 = np.zeros_like(v)
-        for seg_i in np.unique(idx):
-            seg = self.segments[seg_i]
-            sel = idx == seg_i
-            t = flat[sel] - seg.center
-            v[sel] = seg.psi[0].eval(t)
-            d1[sel] = seg.dpsi[0].eval(t)
-        shape = np.shape(s)
-        return v.reshape(shape), d1.reshape(shape)
+        return tuple(
+            self._dispatch(s, 2, lambda seg, t: (seg.lead.eval(t), seg.dlead.eval(t)))
+        )
 
     def tail_at(self, s):
         """sum_{m=n+2}^{2n+2} h^m phi_m(s), the interior residual factor."""
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s).ravel()
-        idx = self._bucket(flat)
-        h = self.anchor.h
-        out = np.zeros(flat.shape, dtype=complex)
-        for seg_i in np.unique(idx):
-            seg = self.segments[seg_i]
-            sel = idx == seg_i
-            t = flat[sel] - seg.center
-            for j, phi in enumerate(seg.tail, start=self.n + 2):
-                out[sel] += h**j * phi.eval(t)
-        return out.reshape(np.shape(s))
-
-
-def _make_segment(P, anchor, n, K, center, branch, offsets):
-    rhs = eikonal_rhs(P, anchor, K, at=center)
-    dpsi_m1 = rhs.sqrt(branch)
-    derivs = _transport_derivs(dpsi_m1, n)
-    psi = [d.antideriv(c0) for d, c0 in zip(derivs, offsets)]
-    phis = _phi_from_derivs(derivs, n, K, rhs)
-    radii = [rhs.estimate_radius()] + [d.estimate_radius() for d in derivs]
-    r_est = min(radii)
-    if not math.isfinite(r_est):
-        r_est = 1.0
-    return _Segment(
-        center=center,
-        dpsi=derivs,
-        psi=psi,
-        tail=phis[n + 2 :],
-        radius_est=r_est,
-    )
+        return self._dispatch(s, 1, lambda seg, t: (seg.tail.eval(t),))[0]
 
 
 def _march(P, anchor, n, K, first, span, direction):
     """Continue the phase chain from ``first`` out to |s| ~ span."""
     segments = []
     seg = first
-    guard = 0
-    while guard < MAX_SEGMENTS:
-        guard += 1
+    for _ in range(MAX_SEGMENTS):
         step = direction * STEP_FRACTION * seg.radius_est
         center = seg.center + step
-        if direction > 0 and center > span:
-            break
-        if direction < 0 and center < -span:
+        if direction * center > span:
             break
         if P.domain == HALF_LINE and anchor.a + center <= 1e-12:
             break
-        branch = seg.dpsi[0].eval(step)
-        offsets = [ps.eval(step) for ps in seg.psi]
+        branch = seg.dlead.eval(step)
         rhs0 = eikonal_rhs(P, anchor, 1, at=center).coeffs[0]
         if abs(rhs0) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
             break  # a real turning point: stop the continuation here
@@ -307,34 +265,35 @@ def _march(P, anchor, n, K, first, span, direction):
         branch = root if abs(root - branch) <= abs(-root - branch) else -root
         try:
             with np.errstate(invalid="ignore", over="ignore"):
-                seg = _make_segment(P, anchor, n, K, center, branch, offsets)
+                derivs, phis, radius = _local_series(
+                    P, anchor, n, K, center, branch
+                )
+                if not all(np.isfinite(d.coeffs).all() for d in derivs):
+                    break  # coefficient overflow (e.g. near a singular endpoint)
+                seg = _fold(
+                    anchor.h, n, center, derivs, phis, radius,
+                    seg.lead.eval(step), seg.phase.eval(step),
+                )
         except (UsageError, DegenerateAnchorError):
             break
-        if not all(np.isfinite(d.coeffs).all() for d in seg.dpsi):
-            break  # coefficient overflow (e.g. near a singular endpoint)
         segments.append(seg)
     return segments
 
 
 def build_piecewise(P, anchor, n, K=None, span=DEFAULT_SPAN):
     """Phase expansion continued over |s| <~ span around the anchor."""
-    if n < 0:
-        raise UsageError("JWKB order must be >= 0")
-    if K is None:
-        K = default_truncation(n)
-    first = _make_segment(
-        P, anchor, n, K, 0.0, 1j * anchor.eta, [0.0] * (n + 2)
-    )
-    if first.psi[0].coeffs[2].real <= 0:
-        raise DegenerateAnchorError(
-            "quadratic phase coefficient has nonpositive real part"
-        )
+    K, derivs, phis, radius = _central_series(P, anchor, n, K)
+    first = _fold(anchor.h, n, 0.0, derivs, phis, radius, 0.0, 0.0)
     right = _march(P, anchor, n, K, first, span, +1.0)
     left = _march(P, anchor, n, K, first, span, -1.0)
     segments = list(reversed(left)) + [first] + right
-    centers = np.array([s.center for s in segments])
     return PiecewisePhase(
-        segments=segments, centers=centers, n=n, K=K, anchor=anchor
+        segments=segments,
+        centers=np.array([s.center for s in segments]),
+        n=n,
+        K=K,
+        anchor=anchor,
+        tail_magnitudes=[float(np.max(np.abs(p.coeffs))) for p in phis[n + 2 :]],
     )
 
 
@@ -406,7 +365,6 @@ class Quasimode:
     """A continued phase with certified cutoff radius and concentration rate."""
 
     phase: PiecewisePhase
-    central: PhaseExpansion
     delta: float
     gamma: float
     beta: float  # certified bound on |rho| over [-delta, delta]
@@ -426,20 +384,21 @@ class Quasimode:
 def select_delta(pw):
     """Choose the cutoff radius and certify the concentration rate.
 
-    On a fine grid over the reach of the analytic continuation the
-    admissible zone is the largest symmetric interval on which
-    Re psi_{-1}(s) > 0 (so gamma = min Re psi_{-1}/s^2 is positive) and
-    |rho| = |1/(2 psi_{-1}')| stays bounded.  Within that zone delta is
-    picked to maximize the smallest value of Re psi_{-1} on the cutoff
+    On a ``GAMMA_GRID``-point grid over the reach of the analytic
+    continuation the admissible zone is the largest symmetric interval on
+    which Re psi_{-1}(s) > 0 (so gamma = min Re psi_{-1}/s^2 is positive)
+    and |rho| = |1/(2 psi_{-1}')| stays bounded.  Within that zone delta
+    is picked to maximize the smallest value of Re psi_{-1} on the cutoff
     seam delta/2 <= |s| <= delta, which is what controls the
-    exp(-Re psi_{-1}/h) suppression of the cutoff commutator.  Returns
-    (delta, gamma, beta).
+    exp(-Re psi_{-1}/h) suppression of the cutoff commutator.  gamma and
+    the bound beta on |rho| are taken from the same samples within
+    [-delta, delta].  Returns (delta, gamma, beta).
     """
     lo, hi = pw.coverage
     span = 0.98 * min(-lo, hi)
     if span <= 0:
         raise DegenerateAnchorError("analytic continuation has no reach")
-    half = 2048
+    half = GAMMA_GRID // 2
     x = span * np.arange(1, half + 1) / half
     s = np.concatenate([-x[::-1], x])
     v, d1 = pw.leading_at(s)
@@ -447,42 +406,27 @@ def select_delta(pw):
     q = re / s**2
     dp = np.abs(2.0 * d1)
     # symmetric prefix condition: both sides admissible out to index k
-    q_ok = np.minimum(q[half:], q[half - 1 :: -1]) > 0
-    rho_ok = np.minimum(dp[half:], dp[half - 1 :: -1]) > 1e-12
-    ok = np.logical_and.accumulate(q_ok & rho_ok)
-    if not ok[0]:
+    q_sym = np.minimum(q[half:], q[half - 1 :: -1])
+    dp_sym = np.minimum(dp[half:], dp[half - 1 :: -1])
+    ok = np.logical_and.accumulate((q_sym > 0) & (dp_sym > 1e-12))
+    if not ok[1]:
         raise DegenerateAnchorError("no admissible cutoff radius")
-    kmax = int(np.argmin(ok)) if not ok.all() else half
+    kmax = int(ok.sum())  # ok is a prefix: its first False is at kmax
     re_sym = np.minimum(re[half:], re[half - 1 :: -1])
-    best_delta, best_seam = None, -1.0
+    best_k, best_seam = None, -1.0
     for k in range(1, kmax):
         seam = re_sym[(k + 1) // 2 : k + 1].min()
         if seam > best_seam:
-            best_seam, best_delta = seam, x[k]
-    delta = float(best_delta)
-    inner = x[: int(np.searchsorted(x, delta, side="right"))]
-    sg = np.concatenate([-inner[::-1], inner])
-    vg, dg = pw.leading_at(sg)
-    qg = vg.real / sg**2
-    dpg = np.abs(2.0 * dg)
-    if qg.min() <= 0 or dpg.min() <= 1e-12:
-        raise DegenerateAnchorError("cutoff certification failed")
-    return delta, float(qg.min()), float(1.0 / dpg.min())
+            best_seam, best_k = seam, k
+    inner = slice(0, best_k + 1)
+    return float(x[best_k]), float(q_sym[inner].min()), float(1.0 / dp_sym[inner].min())
 
 
 def build_quasimode(P, anchor, n, K=None, span=DEFAULT_SPAN):
     """Full construction: continued phases plus certified (delta, gamma)."""
     pw = build_piecewise(P, anchor, n, K, span)
-    central = PhaseExpansion(
-        psi=pw.segments[pw.centers.searchsorted(0.0)].psi,
-        n=pw.n,
-        K=pw.K,
-        anchor=anchor,
-    )
     delta, gamma, beta = select_delta(pw)
-    return Quasimode(
-        phase=pw, central=central, delta=delta, gamma=gamma, beta=beta
-    )
+    return Quasimode(phase=pw, delta=delta, gamma=gamma, beta=beta)
 
 
 # -- residual quadrature --------------------------------------------------
@@ -618,10 +562,6 @@ def residual_ratio(P, Q, allow_large_h=False):
 
     num_sq, den_sq, comm_sq = cur
     r = math.sqrt(num_sq / den_sq)
-    tails = [
-        float(np.max(np.abs(p.coeffs)))
-        for p in Q.phase.segments[Q.phase.centers.searchsorted(0.0)].tail
-    ]
     return Certificate(
         z=anchor.z,
         h=h,
@@ -631,7 +571,7 @@ def residual_ratio(P, Q, allow_large_h=False):
         delta=Q.delta,
         gamma=Q.gamma,
         panels=panels,
-        tail_magnitudes=tails,
+        tail_magnitudes=list(Q.phase.tail_magnitudes),
         warnings=warnings,
         diagnostics={
             "beta": Q.beta,

@@ -118,7 +118,7 @@ def _scan_roots(P, h, target, half_width):
         grid = np.linspace(half_width / SCAN_POINTS, half_width, SCAN_POINTS)
     else:
         grid = np.linspace(-half_width, half_width, SCAN_POINTS)
-    vals = np.array([P.eval(h, a).imag - target for a in grid])
+    vals = P.eval_many(h, grid).imag - target
     roots = []
     for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
         lo, hi = grid[i], grid[i + 1]

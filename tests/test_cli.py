@@ -76,6 +76,12 @@ def test_config_file_defaults(capsys, cubic_file, tmp_path):
         capsys, "quasimode", "--potential", cubic_file, "--config", str(cfg)
     )
     assert code == 2 and "error:usage" in err
+    # parser state is not an option
+    cfg.write_text("a = 1\neta = 1\nh = 0.1\nformats = csv\n")
+    code, _, err = run(
+        capsys, "quasimode", "--potential", cubic_file, "--config", str(cfg)
+    )
+    assert code == 2 and "unknown config key 'formats'" in err
     cfg.write_text("a = 1\neta = 1\nh = 0.1\n")
     code, out, _ = run(
         capsys, "quasimode", "--potential", cubic_file,
@@ -143,6 +149,30 @@ def test_validate(capsys, cubic_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "command, fmt, via",
+    [
+        ("sweep-h", "json", "flag"),
+        ("region", "json", "flag"),
+        ("high-energy", "json", "flag"),
+        ("validate", "csv", "flag"),
+        ("quasimode", "xml", "config"),
+    ],
+)
+def test_format_not_written_is_refused(capsys, cubic_file, tmp_path, command, fmt, via):
+    argv = [command, "--potential", cubic_file]
+    if via == "flag":
+        argv += ["--format", fmt]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format = {fmt}\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    lines = err.splitlines()
+    assert code == 2 and out == "" and len(lines) == 1
+    assert lines[0].startswith("error:usage:") and "--format" in lines[0]
 
 
 def test_missing_potential_file(capsys):

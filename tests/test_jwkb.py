@@ -30,7 +30,7 @@ def cubic_anchor(h=0.05):
 
 def test_eikonal_linear_closed_form():
     # V = ix, a = 0, eta = 1: psi_{-1} = (2/3)(1 - (1 - is)^{3/2})
-    psi = jwkb.build_eikonal(IX, linear_anchor(), 12)
+    psi = jwkb.build_phase(IX, linear_anchor(), 0, 12).psi[0]
     K = psi.K
     ref = np.array(
         [(2.0 / 3.0) * (-binom(1.5, k) * (-1j) ** k) for k in range(K + 1)]
@@ -42,7 +42,7 @@ def test_eikonal_linear_closed_form():
 def test_eikonal_quadratic_coefficient_positive():
     # Re of the s^2 coefficient is Im V'(a) / (4 eta) > 0
     anchor = cubic_anchor()
-    psi = jwkb.build_eikonal(IX3, anchor, 10)
+    psi = jwkb.build_phase(IX3, anchor, 0, 10).psi[0]
     assert psi.coeffs[1] == pytest.approx(1j * anchor.eta)
     assert psi.coeffs[2].real == pytest.approx(3.0 / 4.0)  # Im V'(1)/(4 eta)
 
@@ -129,6 +129,19 @@ def test_piecewise_leading_continuous_at_segment_joins():
         va, _ = pw.leading_at(sj - 1e-9)
         vb, _ = pw.leading_at(sj + 1e-9)
         assert abs(va - vb) < 1e-7 * max(1.0, abs(va))
+
+
+def test_piecewise_arrays_match_scalar_calls():
+    pw = jwkb.build_piecewise(IX3, cubic_anchor(), 1)
+    rng = np.random.default_rng(7)
+    s = rng.permutation(np.linspace(-2.5, 2.5, 60)).reshape(4, 15)
+    assert len(np.unique(np.searchsorted(pw.centers, s))) > 3
+    for method in (pw.phase_at, pw.leading_at, lambda x: (pw.tail_at(x),)):
+        arrays = method(s)
+        for i, j in np.ndindex(s.shape):
+            for got, ref in zip(arrays, method(s[i, j])):
+                assert got.shape == s.shape
+                assert got[i, j] == ref
 
 
 def test_cutoff_plateau_support_and_smoothness():
