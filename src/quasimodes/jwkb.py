@@ -16,7 +16,8 @@ Pipeline, for a potential family ``P`` and a validated anchor
    complex turning point, far too small an interval for the cutoff: the
    suppression of the cutoff commutator needs ``gamma * delta^2 >> h``.
    Each segment keeps ``psi_{-1}``, ``psi_{-1}'`` and, folded with h,
-   ``sum_m h^m psi_m`` and the tail ``sum_j h^j phi_j``.
+   ``sum_m h^m psi_m`` and the tail ``sum_j h^j phi_j``; one ``horner``
+   call per series evaluates all points, each on its nearest segment.
 3. :func:`select_delta` chooses delta on a ``GAMMA_GRID``-point grid and
    certifies gamma with ``gamma*s^2 <= Re psi_{-1}(s)`` and a bound on
    ``|rho|`` on ``[-delta, delta]``.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import AccuracyError, DegenerateAnchorError, UsageError
 from .potential import HALF_LINE, Anchor
-from .series import TruncatedSeries
+from .series import TruncatedSeries, derivative_rows, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
 GAMMA_GRID = 4096
@@ -212,38 +213,28 @@ class PiecewisePhase:
         right = self.centers[-1] + STEP_FRACTION * self.segments[-1].radius_est
         return left, right
 
-    def _dispatch(self, s, count, evaluate):
-        """``count`` outputs of ``evaluate(segment, t)``, each shaped like s.
-
-        A point belongs to the segment with the nearest centre (ties go
-        right); once the points are sorted, each segment's points are the
-        contiguous slice between two join midpoints.
-        """
+    def _eval(self, s, *tables):
+        """Evaluate tables (one row per segment) at s, each point on the segment
+        with the nearest centre (ties go right); results are shaped like s."""
         s = np.asarray(s, dtype=float)
-        flat = s.ravel()
-        order = np.argsort(flat, kind="stable")
-        ordered = flat[order]
         joins = 0.5 * (self.centers[:-1] + self.centers[1:])
-        cuts = [0, *np.searchsorted(ordered, joins), flat.size]
-        out = np.zeros((count, flat.size), dtype=complex)
-        for seg, lo, hi in zip(self.segments, cuts[:-1], cuts[1:]):
-            if hi > lo:
-                out[:, order[lo:hi]] = evaluate(seg, ordered[lo:hi] - seg.center)
-        return out.reshape((count,) + s.shape)
+        seg = np.searchsorted(joins, s, side="right")
+        t = s - self.centers[seg]
+        return tuple(horner(table, seg, t) for table in tables)
 
     def phase_at(self, s):
         """(psi, psi', psi'') of sum_m h^m psi_m at s (scalar or array)."""
-        return tuple(self._dispatch(s, 3, lambda seg, t: seg.phase.eval_d2(t)))
+        phase = np.array([g.phase.coeffs for g in self.segments])
+        return self._eval(s, *derivative_rows(phase))
 
     def leading_at(self, s):
         """(psi_{-1}, psi_{-1}') without h weights, for certification."""
-        return tuple(
-            self._dispatch(s, 2, lambda seg, t: (seg.lead.eval(t), seg.dlead.eval(t)))
-        )
+        lead = np.array([g.lead.coeffs for g in self.segments])
+        return self._eval(s, lead, np.array([g.dlead.coeffs for g in self.segments]))
 
     def tail_at(self, s):
         """sum_{m=n+2}^{2n+2} h^m phi_m(s), the interior residual factor."""
-        return self._dispatch(s, 1, lambda seg, t: (seg.tail.eval(t),))[0]
+        return self._eval(s, np.array([g.tail.coeffs for g in self.segments]))[0]
 
 
 def _march(P, anchor, n, K, first, span, direction):
@@ -375,9 +366,8 @@ class Quasimode:
         xi, _, _ = cutoff_eval(self.delta, np.atleast_1d(s))
         out = np.zeros(xi.shape, dtype=complex)
         inside = xi > 0
-        if inside.any():
-            v, _, _ = self.phase.phase_at(np.atleast_1d(s)[inside])
-            out[inside] = xi[inside] * np.exp(-v)
+        v, _, _ = self.phase.phase_at(np.atleast_1d(s)[inside])
+        out[inside] = xi[inside] * np.exp(-v)
         return out.reshape(np.shape(s))
 
 
@@ -466,7 +456,7 @@ class Certificate:
 
 
 def residual_pointwise(P, Q, s):
-    """(Hf~ - z f~)(a+s) and f~(a+s) on the local grid s.
+    """(Hf~ - z f~, f~, cutoff commutator part) at a+s on the local grid s.
 
     The potential is evaluated exactly (not through its Taylor series),
     so series truncation error enters only through the phase.
@@ -475,22 +465,22 @@ def residual_pointwise(P, Q, s):
     h, a, z = anchor.h, anchor.a, anchor.z
     s = np.asarray(s, dtype=float)
     xi, xi1, xi2 = cutoff_eval(Q.delta, np.atleast_1d(s))
-    res = np.zeros(xi.shape, dtype=complex)
-    f = np.zeros_like(res)
+    out = np.zeros((3,) + xi.shape, dtype=complex)
     inside = xi > 0
-    if inside.any():
-        si = np.atleast_1d(s)[inside]
-        v, d1, d2 = Q.phase.phase_at(si)
-        vh = P.eval_many(h, a + si)
-        e = np.exp(-v)
-        op = (
-            -(h * h)
-            * (xi2[inside] - 2.0 * xi1[inside] * d1 + xi[inside] * (d1 * d1 - d2))
-            + (vh - z) * xi[inside]
-        )
-        res[inside] = op * e
-        f[inside] = xi[inside] * e
-    return res.reshape(np.shape(s)), f.reshape(np.shape(s))
+    si = np.atleast_1d(s)[inside]
+    v, d1, d2 = Q.phase.phase_at(si)
+    vh = P.eval_many(h, a + si)
+    e = np.exp(-v)
+    op = (
+        -(h * h)
+        * (xi2[inside] - 2.0 * xi1[inside] * d1 + xi[inside] * (d1 * d1 - d2))
+        + (vh - z) * xi[inside]
+    )
+    out[0, inside] = op * e
+    out[1, inside] = xi[inside] * e
+    # cutoff commutator alone: -h^2 (xi'' - 2 xi' psi') exp(-psi)
+    out[2, inside] = -(h * h) * (xi2[inside] - 2.0 * xi1[inside] * d1) * e
+    return tuple(out.reshape((3,) + np.shape(s)))
 
 
 def _panel_quadrature(P, Q, panels):
@@ -502,19 +492,9 @@ def _panel_quadrature(P, Q, panels):
     half = 0.5 * (edges[1] - edges[0])
     s = (mid[:, None] + half * nodes[None, :]).ravel()
     w = np.broadcast_to(half * weights[None, :], (panels, PANEL_NODES)).ravel()
-    res, f = residual_pointwise(P, Q, s)
-    # cutoff commutator alone: -h^2 (xi'' - 2 xi' psi') exp(-psi)
-    h = Q.phase.anchor.h
-    xi, xi1, xi2 = cutoff_eval(delta, s)
-    comm = np.zeros_like(res)
-    seam = (xi1 != 0) | ((xi2 != 0) & (xi > 0))
-    if seam.any():
-        v, d1, _ = Q.phase.phase_at(s[seam])
-        comm[seam] = -(h * h) * (xi2[seam] - 2.0 * xi1[seam] * d1) * np.exp(-v)
-    return (
-        float(np.sum(w * np.abs(res) ** 2)),
-        float(np.sum(w * np.abs(f) ** 2)),
-        float(np.sum(w * np.abs(comm) ** 2)),
+    return tuple(
+        float(np.sum(w * np.abs(part) ** 2))
+        for part in residual_pointwise(P, Q, s)
     )
 
 
@@ -524,7 +504,7 @@ def residual_ratio(P, Q, allow_large_h=False):
     Computes r = ||Hf~ - z f~|| / ||f~|| by composite Gauss-Legendre
     quadrature (16 nodes per panel, panels doubled until the relative
     change drops below 1e-8) and returns a :class:`Certificate` with
-    lower_bound = 1/r.
+    lower_bound = 1/r; a pass that is not finite raises AccuracyError at once.
 
     The construction's error analysis assumes h <= delta^2; by default
     larger h is rejected, but sweeps may pass ``allow_large_h=True`` to
@@ -546,6 +526,8 @@ def residual_ratio(P, Q, allow_large_h=False):
     cur = None
     for _ in range(MAX_DOUBLINGS + 1):
         cur = _panel_quadrature(P, Q, panels)
+        if not all(map(math.isfinite, cur[:2])):
+            raise AccuracyError("quadrature is not finite", estimates=(prev, cur))
         if prev is not None:
             ok = all(
                 abs(c - p) <= QUAD_RTOL * max(abs(c), 1e-300)

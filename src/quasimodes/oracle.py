@@ -37,15 +37,12 @@ class Discretization:
     x_lo: float
     x_hi: float
     n_interior: int
-    bc: str = "dirichlet"
 
     def __post_init__(self):
         if self.x_hi <= self.x_lo:
             raise UsageError("need x_lo < x_hi")
         if self.n_interior < 3:
             raise UsageError("need at least 3 interior points")
-        if self.bc != "dirichlet":
-            raise UsageError("only Dirichlet truncation is supported")
 
     @property
     def dx(self):

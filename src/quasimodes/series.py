@@ -165,18 +165,12 @@ class TruncatedSeries:
 
     def eval(self, s):
         """Evaluate the truncated polynomial at ``s`` (scalar or array)."""
-        return np.polyval(self.coeffs[::-1], s)
+        return horner(self.coeffs[None, :], 0, s)
 
     def eval_d2(self, s):
         """Return (value, first derivative, second derivative) at ``s``."""
-        c = self.coeffs
-        k = np.arange(c.size)
-        d1 = c[1:] * k[1:]
-        d2 = d1[1:] * k[1:-1] + 0j  # guard: keep complex dtype when K == 1
-        v = np.polyval(c[::-1], s)
-        p1 = np.polyval(d1[::-1], s) if d1.size else np.zeros_like(v)
-        p2 = np.polyval(d2[::-1], s) if d2.size else np.zeros_like(v)
-        return v, p1, p2
+        table = derivative_rows(self.coeffs)
+        return tuple(horner(table, j, s) for j in range(3))
 
     def estimate_radius(self):
         """Root-test estimate of the convergence radius.
@@ -198,3 +192,26 @@ class TruncatedSeries:
             return math.inf
         rate = np.max(mags[nz] ** (1.0 / ks[nz]))
         return 1.0 / rate
+
+
+def derivative_rows(coeffs):
+    """Coefficients of a, a' and a'' (same width) for each row a of ``coeffs``."""
+    k = np.arange(coeffs.shape[-1])
+    out = np.zeros((3,) + coeffs.shape, dtype=complex)
+    out[0] = coeffs
+    out[1, ..., :-1] = coeffs[..., 1:] * k[1:]
+    out[2, ..., :-2] = out[1, ..., 1:-1] * k[1:-1]
+    return out
+
+
+def horner(table, rows, t):
+    """Evaluate, at each t, the polynomial ``table[rows]`` (lowest degree first).
+
+    ``rows`` is one row index or one per point.  Sums from the top degree
+    down, gathering one column per degree and updating the sum in place."""
+    t = np.asanyarray(t)
+    y = np.zeros(t.shape, dtype=complex)
+    for k in range(table.shape[-1] - 1, -1, -1):
+        y *= t
+        y += table[rows, k]
+    return y[()]

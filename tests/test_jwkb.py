@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quasimodes import jwkb
-from quasimodes.errors import DegenerateAnchorError, UsageError
+from quasimodes.errors import AccuracyError, DegenerateAnchorError, UsageError
 from quasimodes.potential import PotentialFamily, make_anchor
 
 IX = PotentialFamily(((1j, 1, 0),))
@@ -131,6 +131,14 @@ def test_piecewise_leading_continuous_at_segment_joins():
         assert abs(va - vb) < 1e-7 * max(1.0, abs(va))
 
 
+def test_piecewise_join_midpoint_goes_to_right_segment():
+    pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
+    joins = 0.5 * (pw.centers[:-1] + pw.centers[1:])
+    for k, sj in enumerate(joins):
+        right = pw.segments[k + 1]
+        assert pw.leading_at(sj)[0] == right.lead.eval(sj - pw.centers[k + 1])
+
+
 def test_piecewise_arrays_match_scalar_calls():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 1)
     rng = np.random.default_rng(7)
@@ -205,7 +213,7 @@ def test_certificate_attaches_quasimode():
 def test_residual_matches_quadrature_pointwise():
     Q = jwkb.build_quasimode(IX, linear_anchor(), 0)
     s = np.array([0.0, 0.3, -0.8])
-    res, f = jwkb.residual_pointwise(IX, Q, s)
+    res, f, _ = jwkb.residual_pointwise(IX, Q, s)
     # at interior points xi = 1 so f = exp(-psi)
     v, _, _ = Q.phase.phase_at(s)
     np.testing.assert_allclose(f, np.exp(-v), rtol=1e-12)
@@ -221,6 +229,24 @@ def test_large_h_guard():
         jwkb.residual_ratio(P, Q)
     cert = jwkb.residual_ratio(P, Q, allow_large_h=True)
     assert "h_above_delta_sq" in cert.warnings
+
+
+def test_nonfinite_quadrature_fails_after_one_pass(monkeypatch):
+    # exp(-psi) overflows inside [-delta, delta] for this anchor at n = 2
+    P = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
+    Q = jwkb.build_quasimode(P, make_anchor(P, 0.2, 0.62, 0.6), 2)
+    calls = []
+    quadrature = jwkb._panel_quadrature
+
+    def counted(*args):
+        calls.append(args[2])
+        return quadrature(*args)
+
+    monkeypatch.setattr(jwkb, "_panel_quadrature", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AccuracyError, match="not finite"):
+            jwkb.residual_ratio(P, Q, allow_large_h=True)
+    assert len(calls) == 1
 
 
 def test_order_must_be_nonnegative():

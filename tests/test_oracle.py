@@ -20,8 +20,6 @@ def test_discretization_grid():
         oracle.Discretization(1.0, 0.0, 10)
     with pytest.raises(UsageError):
         oracle.Discretization(0.0, 1.0, 2)
-    with pytest.raises(UsageError):
-        oracle.Discretization(0.0, 1.0, 10, bc="neumann")
 
 
 def test_assemble_stencil_entries():

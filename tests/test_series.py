@@ -100,17 +100,36 @@ def test_deriv_antideriv_roundtrip():
     np.testing.assert_allclose(back.coeffs, a.coeffs, atol=1e-15)
 
 
+def same_bits(got, ref):
+    return np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def polyval_d2(c, s):
+    # np.polyval of the coefficients and of their first two derivatives
+    k = np.arange(c.size)
+    d1 = c[1:] * k[1:]
+    d2 = d1[1:] * k[1:-1]
+    return [np.polyval(p[::-1], s) for p in (c, d1, d2)]
+
+
 def test_eval_matches_horner():
     a = TruncatedSeries([1.0, -2.0, 0.5, 1j])
     s = 0.3
     expect = 1.0 - 2.0 * s + 0.5 * s**2 + 1j * s**3
     assert abs(a.eval(s) - expect) < 1e-15
+    assert same_bits(a.eval(s), np.polyval(a.coeffs[::-1], s))
 
 
 def test_eval_vectorized():
     a = TruncatedSeries([2.0, 1.0])
     s = np.array([0.0, 1.0, -1.0])
     np.testing.assert_allclose(a.eval(s), [2.0, 3.0, 1.0])
+    rng = np.random.default_rng(3)
+    b = TruncatedSeries(rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    s = rng.uniform(-1.5, 1.5, (4, 7))
+    got = b.eval(s)
+    assert got.shape == s.shape
+    assert same_bits(got, np.polyval(b.coeffs[::-1], s))
 
 
 def test_eval_d2_against_finite_differences():
@@ -124,6 +143,10 @@ def test_eval_d2_against_finite_differences():
     fd2 = (a.eval(s + eps) - 2 * a.eval(s) + a.eval(s - eps)) / eps**2
     assert abs(d1 - fd1) < 1e-8 * max(1.0, abs(d1))
     assert abs(d2 - fd2) < 1e-4 * max(1.0, abs(d2))
+    for x in (s, rng.uniform(-1.2, 1.2, 50)):
+        for got, ref in zip(a.eval_d2(x), polyval_d2(a.coeffs, x)):
+            assert np.shape(got) == np.shape(x)
+            assert same_bits(got, ref)
 
 
 def test_radius_estimate_geometric():
