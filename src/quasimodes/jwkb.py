@@ -9,7 +9,8 @@ Pipeline, for a potential family ``P`` and a validated anchor
    corrections ``psi_{m+1}' = rho * (psi_m'' - sum_j psi_j' psi_{m-j}')``
    with ``rho = 1/(2 psi_{-1}')``, and the coefficients ``phi_j`` of
    ``Hf - zf = (sum_j h^j phi_j) f``.  :func:`build_phase` is this
-   expansion at s = 0, normalized by ``psi_m(0) = 0``.
+   expansion at s = 0, normalized by ``psi_m(0) = 0``, and the only one
+   that keeps ``phi_0 .. phi_{n+1}``.
 2. :func:`build_piecewise` repeats it at a chain of centres along the
    real axis, continuing the square-root branch and the integration
    constants.  A single central series only converges up to the nearest
@@ -53,7 +54,7 @@ QUAD_RTOL = 1e-8
 
 MAX_DOUBLINGS = 8
 
-#: how far the piecewise phase marches out by default (local coordinate)
+#: how far the piecewise phase marches out (local coordinate)
 DEFAULT_SPAN = 6.0
 
 #: fraction of the local radius estimate used as re-expansion step
@@ -88,24 +89,25 @@ def _transport_derivs(dpsi_m1, n):
     return derivs
 
 
-def _local_series(P, anchor, n, K, center, branch):
-    """(psi_m' for m = -1..n, phi_j for j = 0..2n+2, radius) at ``center``.
+def _local_series(P, anchor, n, K, center, branch, lowest):
+    """(psi_m' for m = -1..n, phi_j for j = lowest..2n+2, radius) at ``center``.
 
-    ``branch`` is the value of psi_{-1}' at the centre.  Each transport
-    level consumes one differentiation, so psi_m' is only exact up to
-    degree K - 1 - m and phi_j up to degree K - j; the coefficients above
-    that are truncation noise and are cut off.  The radius is the
-    smallest root-test estimate among the right-hand side and the psi_m'
-    (1 when none is finite).
+    ``branch`` is the value of psi_{-1}' at the centre.  The centre asks
+    for every phi_j (``lowest`` = 0, for :func:`build_phase`); the march
+    only for the tail (``lowest`` = n + 2), since the transport recursion
+    makes the others vanish.  Each transport level consumes one
+    differentiation, so psi_m' is only exact up to degree K - 1 - m and
+    phi_j up to degree K - j; the coefficients above that are truncation
+    noise and are cut off.  The radius is the smallest root-test estimate
+    among the right-hand side and the psi_m' (1 when none is finite).
     """
     rhs = eikonal_rhs(P, anchor, K, at=center)
     derivs = _transport_derivs(rhs.sqrt(branch), n)
-    second = [d.deriv() for d in derivs]
     phis = []
-    for j in range(0, 2 * n + 3):
+    for j in range(lowest, 2 * n + 3):
         acc = TruncatedSeries.zero(K)
         if -1 <= j - 2 <= n:
-            acc = acc + second[j - 1]
+            acc = acc + derivs[j - 1].deriv()
         for m in range(-1, n + 1):
             k = j - 2 - m
             if -1 <= k <= n:
@@ -123,7 +125,7 @@ def _central_series(P, anchor, n, K):
         raise UsageError("JWKB order must be >= 0")
     if K is None:
         K = default_truncation(n)
-    derivs, phis, radius = _local_series(P, anchor, n, K, 0.0, 1j * anchor.eta)
+    derivs, phis, radius = _local_series(P, anchor, n, K, 0.0, 1j * anchor.eta, 0)
     # concentration requires Re of the s^2 coefficient of psi_{-1}, i.e.
     # Re psi_{-1}''(0)/2 = Im V'(a)/(4 eta), to be positive
     if derivs[0].coeffs[1].real <= 0:
@@ -179,11 +181,12 @@ class _Segment:
     radius_est: float
 
 
-def _fold(h, n, center, derivs, phis, radius, lead0, phase0):
-    """Segment whose psi_{-1} and folded phase take lead0, phase0 at t = 0."""
+def _fold(h, n, center, derivs, tail_phis, radius, lead0, phase0):
+    """Segment whose psi_{-1} and folded phase take lead0, phase0 at t = 0;
+    ``tail_phis`` are phi_{n+2} .. phi_{2n+2}."""
     dphase = sum(h**m * d.coeffs for m, d in enumerate(derivs, start=-1))
-    tail = np.zeros(phis[n + 2].coeffs.size, dtype=complex)
-    for j, phi in enumerate(phis[n + 2 :], start=n + 2):
+    tail = np.zeros(tail_phis[0].coeffs.size, dtype=complex)
+    for j, phi in enumerate(tail_phis, start=n + 2):
         tail[: phi.coeffs.size] += h**j * phi.coeffs
     return _Segment(
         center=center,
@@ -213,6 +216,10 @@ class PiecewisePhase:
         right = self.centers[-1] + STEP_FRACTION * self.segments[-1].radius_est
         return left, right
 
+    def _table(self, name):
+        """Coefficients of the series ``name`` of every segment, one row each."""
+        return np.array([getattr(g, name).coeffs for g in self.segments])
+
     def _eval(self, s, *tables):
         """Evaluate tables (one row per segment) at s, each point on the segment
         with the nearest centre (ties go right); results are shaped like s."""
@@ -224,27 +231,25 @@ class PiecewisePhase:
 
     def phase_at(self, s):
         """(psi, psi', psi'') of sum_m h^m psi_m at s (scalar or array)."""
-        phase = np.array([g.phase.coeffs for g in self.segments])
-        return self._eval(s, *derivative_rows(phase))
+        return self._eval(s, *derivative_rows(self._table("phase")))
 
     def leading_at(self, s):
         """(psi_{-1}, psi_{-1}') without h weights, for certification."""
-        lead = np.array([g.lead.coeffs for g in self.segments])
-        return self._eval(s, lead, np.array([g.dlead.coeffs for g in self.segments]))
+        return self._eval(s, self._table("lead"), self._table("dlead"))
 
     def tail_at(self, s):
         """sum_{m=n+2}^{2n+2} h^m phi_m(s), the interior residual factor."""
-        return self._eval(s, np.array([g.tail.coeffs for g in self.segments]))[0]
+        return self._eval(s, self._table("tail"))[0]
 
 
-def _march(P, anchor, n, K, first, span, direction):
-    """Continue the phase chain from ``first`` out to |s| ~ span."""
+def _march(P, anchor, n, K, first, direction):
+    """Continue the phase chain from ``first`` out to |s| ~ DEFAULT_SPAN."""
     segments = []
     seg = first
     for _ in range(MAX_SEGMENTS):
         step = direction * STEP_FRACTION * seg.radius_est
         center = seg.center + step
-        if direction * center > span:
+        if direction * center > DEFAULT_SPAN:
             break
         if P.domain == HALF_LINE and anchor.a + center <= 1e-12:
             break
@@ -257,7 +262,7 @@ def _march(P, anchor, n, K, first, span, direction):
         try:
             with np.errstate(invalid="ignore", over="ignore"):
                 derivs, phis, radius = _local_series(
-                    P, anchor, n, K, center, branch
+                    P, anchor, n, K, center, branch, n + 2
                 )
                 if not all(np.isfinite(d.coeffs).all() for d in derivs):
                     break  # coefficient overflow (e.g. near a singular endpoint)
@@ -271,12 +276,12 @@ def _march(P, anchor, n, K, first, span, direction):
     return segments
 
 
-def build_piecewise(P, anchor, n, K=None, span=DEFAULT_SPAN):
-    """Phase expansion continued over |s| <~ span around the anchor."""
+def build_piecewise(P, anchor, n, K=None):
+    """Phase expansion continued over |s| <~ DEFAULT_SPAN around the anchor."""
     K, derivs, phis, radius = _central_series(P, anchor, n, K)
-    first = _fold(anchor.h, n, 0.0, derivs, phis, radius, 0.0, 0.0)
-    right = _march(P, anchor, n, K, first, span, +1.0)
-    left = _march(P, anchor, n, K, first, span, -1.0)
+    first = _fold(anchor.h, n, 0.0, derivs, phis[n + 2 :], radius, 0.0, 0.0)
+    right = _march(P, anchor, n, K, first, +1.0)
+    left = _march(P, anchor, n, K, first, -1.0)
     segments = list(reversed(left)) + [first] + right
     return PiecewisePhase(
         segments=segments,
@@ -366,7 +371,8 @@ class Quasimode:
         xi, _, _ = cutoff_eval(self.delta, np.atleast_1d(s))
         out = np.zeros(xi.shape, dtype=complex)
         inside = xi > 0
-        v, _, _ = self.phase.phase_at(np.atleast_1d(s)[inside])
+        pw = self.phase
+        (v,) = pw._eval(np.atleast_1d(s)[inside], pw._table("phase"))
         out[inside] = xi[inside] * np.exp(-v)
         return out.reshape(np.shape(s))
 
@@ -412,9 +418,9 @@ def select_delta(pw):
     return float(x[best_k]), float(q_sym[inner].min()), float(1.0 / dp_sym[inner].min())
 
 
-def build_quasimode(P, anchor, n, K=None, span=DEFAULT_SPAN):
+def build_quasimode(P, anchor, n, K=None):
     """Full construction: continued phases plus certified (delta, gamma)."""
-    pw = build_piecewise(P, anchor, n, K, span)
+    pw = build_piecewise(P, anchor, n, K)
     delta, gamma, beta = select_delta(pw)
     return Quasimode(phase=pw, delta=delta, gamma=gamma, beta=beta)
 
@@ -566,9 +572,9 @@ def residual_ratio(P, Q, allow_large_h=False):
     )
 
 
-def certify(P, anchor, n, K=None, allow_large_h=False, span=DEFAULT_SPAN):
+def certify(P, anchor, n, K=None, allow_large_h=False):
     """Anchor -> certificate in one call."""
-    Q = build_quasimode(P, anchor, n, K, span)
+    Q = build_quasimode(P, anchor, n, K)
     return residual_ratio(P, Q, allow_large_h=allow_large_h)
 
 

@@ -5,6 +5,7 @@ central differences and Dirichlet truncation on [x_lo, x_hi], giving a
 complex tridiagonal matrix T.  The discrete resolvent norm at z is
 1/sigma_min(T - zI); sigma_min is computed by inverse iteration on the
 normal equations, which only needs O(N) tridiagonal solves per step.
+``scipy.linalg`` is imported on the first solve, not with the package.
 
 :func:`validate` compares a certificate against this discrete estimate:
 the certified lower bound must not exceed the discrete norm by more than
@@ -20,7 +21,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import UsageError
 from .potential import HALF_LINE
@@ -85,6 +85,14 @@ def assemble(P, h, disc):
     return TridiagonalOperator(sub=off.copy(), diag=diag, sup=off.copy())
 
 
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on the first solve so that
+    importing the package does not load ``scipy.linalg``."""
+    from scipy.linalg import solve_banded as solve
+
+    return solve(l_and_u, ab, b)
+
+
 def _banded(sub, diag, sup):
     n = diag.size
     ab = np.zeros((3, n), dtype=complex)
@@ -114,7 +122,7 @@ def smallest_singular_value(T, z, seed=SSV_SEED):
         try:
             w = solve_banded((1, 1), abh, v)
             y = solve_banded((1, 1), ab, w)
-        except (LinAlgError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             return 0.0
         lam = np.linalg.norm(y)
         if not np.isfinite(lam) or lam == 0:

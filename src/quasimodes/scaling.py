@@ -112,12 +112,13 @@ def sector_check(z, c_n):
 # -- anchor solving -------------------------------------------------------
 
 
-def _scan_roots(P, h, target, half_width):
+def _scan_roots(P, h, target):
     """Roots of Im V_h(a) = target found by sign-change bisection."""
+    w = SCAN_HALF_WIDTH
     if P.domain == HALF_LINE:
-        grid = np.linspace(half_width / SCAN_POINTS, half_width, SCAN_POINTS)
+        grid = np.linspace(w / SCAN_POINTS, w, SCAN_POINTS)
     else:
-        grid = np.linspace(-half_width, half_width, SCAN_POINTS)
+        grid = np.linspace(-w, w, SCAN_POINTS)
     vals = P.eval_many(h, grid).imag - target
     roots = []
     for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
@@ -136,7 +137,7 @@ def _scan_roots(P, h, target, half_width):
     return roots
 
 
-def solve_anchor(P, h, z, a_init=None, scan_half_width=SCAN_HALF_WIDTH):
+def solve_anchor(P, h, z, a_init=None):
     """Find a real anchor point with Im V_h(a) = Im z and build the Anchor.
 
     Newton iteration from ``a_init`` (tolerance 1e-12, at most 100
@@ -166,7 +167,7 @@ def solve_anchor(P, h, z, a_init=None, scan_half_width=SCAN_HALF_WIDTH):
             a = a_new
     alternatives = 0
     if root is None:
-        roots = _scan_roots(P, h, target, scan_half_width)
+        roots = _scan_roots(P, h, target)
         if not roots:
             raise NoAnchorError(
                 f"no real solution of Im V_h(a) = {target} found"
@@ -235,7 +236,7 @@ def highenergy_lower_bound(HE, z, sigma, n_order, K=None, a_init=None):
     smap = to_semiclassical(HE, sigma)
     if a_init is None:
         limit = smap.family.limit_family()
-        roots = _scan_roots(limit, 0.0, complex(z).imag, SCAN_HALF_WIDTH)
+        roots = _scan_roots(limit, 0.0, complex(z).imag)
         if not roots:
             raise NoAnchorError("no h = 0 anchor root for the limit family")
         roots.sort(key=lambda a: -abs(limit.deriv(0.0, a).imag))

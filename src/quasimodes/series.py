@@ -57,12 +57,6 @@ class TruncatedSeries:
     def zero(cls, K):
         return cls(np.zeros(K + 1, dtype=complex))
 
-    @classmethod
-    def one(cls, K):
-        c = np.zeros(K + 1, dtype=complex)
-        c[0] = 1.0
-        return cls(c)
-
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs.tolist()!r})"
 

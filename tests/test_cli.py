@@ -1,9 +1,13 @@
 """End-to-end command-line checks."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quasimodes
 from quasimodes.cli import main
 
 CUBIC = "domain: line\n0 1 3 0\n"
@@ -76,17 +80,26 @@ def test_config_file_defaults(capsys, cubic_file, tmp_path):
         capsys, "quasimode", "--potential", cubic_file, "--config", str(cfg)
     )
     assert code == 2 and "error:usage" in err
-    # parser state is not an option
-    cfg.write_text("a = 1\neta = 1\nh = 0.1\nformats = csv\n")
-    code, _, err = run(
-        capsys, "quasimode", "--potential", cubic_file, "--config", str(cfg)
-    )
-    assert code == 2 and "unknown config key 'formats'" in err
+    # parser state, flag-only options and prefixes are not config keys
+    for line in ("formats = csv", "allow-large-h = true", "config = other.cfg",
+                 "ord = 1"):
+        cfg.write_text(f"a = 1\neta = 1\nh = 0.1\n{line}\n")
+        code, out, err = run(
+            capsys, "quasimode", "--potential", cubic_file, "--config", str(cfg)
+        )
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        assert lines[0].startswith("error:usage:") and line.split()[0] in lines[0]
     cfg.write_text("a = 1\neta = 1\nh = 0.1\n")
     code, out, _ = run(
         capsys, "quasimode", "--potential", cubic_file,
         "--config", str(cfg), "--allow-large-h",
     )
+    assert code == 0
+    assert json.loads(out)["h"] == pytest.approx(0.1)
+    # the potential file may come from the config too
+    cfg.write_text(f"potential = {cubic_file}\na = 1\neta = 1\nh = 0.1\n")
+    code, out, _ = run(capsys, "quasimode", "--config", str(cfg), "--allow-large-h")
     assert code == 0
     assert json.loads(out)["h"] == pytest.approx(0.1)
 
@@ -175,6 +188,44 @@ def test_format_not_written_is_refused(capsys, cubic_file, tmp_path, command, fm
     assert lines[0].startswith("error:usage:") and "--format" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("quasimode", {"a": "1", "eta": "1", "h": "0.1"}),
+        ("quasimode", {"potential": None, "a": "x", "eta": "1", "h": "0.1"}),
+        ("region", {"potential": None, "h": "0.05", "a-min": "0.5",
+                    "a-max": "1.5", "eta-min": "-1", "eta-max": "1",
+                    "eta-count": "2"}),
+    ],
+    ids=["missing-potential", "bad-float", "missing-a-count"],
+)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_usage_error_is_one_line(capsys, cubic_file, tmp_path, command, options, via):
+    options = {k: cubic_file if v is None else v for k, v in options.items()}
+    argv = [command]
+    if via == "flag":
+        for key, val in options.items():
+            argv += [f"--{key}", val]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    lines = err.splitlines()
+    assert code == 2 and out == "" and len(lines) == 1
+    assert lines[0].startswith("error:usage:")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
+    code = "import sys, quasimodes.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_missing_potential_file(capsys):
     code, _, err = run(
         capsys, "quasimode", "--potential", "/nonexistent/pot.txt",
@@ -200,7 +251,7 @@ def test_sector_exit_code(capsys, tmp_path):
         capsys, "high-energy", "--potential", str(path),
         "--z-re", "1", "--z-im", "-0.5", "--sigma-list", "1e2",
     )
-    assert code == 2 and "error:" in err
+    assert code == 2 and err.startswith("error:sector:")
 
 
 def test_missing_anchor_options(capsys, cubic_file):
