@@ -12,11 +12,16 @@ Pipeline, for a potential family ``P`` and a validated anchor
    expansion at s = 0, normalized by ``psi_m(0) = 0``, and the only one
    that keeps ``phi_0 .. phi_{n+1}``.
 2. :func:`build_piecewise` repeats it at a chain of centres along the
-   real axis, continuing the square-root branch and the integration
-   constants.  A single central series only converges up to the nearest
-   complex turning point, far too small an interval for the cutoff: the
-   suppression of the cutoff commutator needs ``gamma * delta^2 >> h``.
-   Each segment keeps ``psi_{-1}``, ``psi_{-1}'`` and, folded with h,
+   real axis: a single central series only converges up to the nearest
+   complex turning point, far too small an interval for the cutoff (the
+   suppression of the cutoff commutator needs ``gamma * delta^2 >> h``).
+   Each step of the march advances ``STEP_FRACTION`` of the radius
+   estimate and works on coefficient arrays: the constant term of the new
+   right-hand side (``V_h(a) + eta^2`` is computed once per march) is the
+   turning-point test and gives ``psi_{-1}'`` up to sign; one ``horner``
+   call on the previous segment's rows gives the sign and the integration
+   constants, and one root test over the new rows the next radius.  Each
+   segment keeps ``psi_{-1}``, ``psi_{-1}'`` and, folded with h,
    ``sum_m h^m psi_m`` and the tail ``sum_j h^j phi_j``; one ``horner``
    call per series evaluates all points, each on its nearest segment.
 3. :func:`select_delta` chooses delta on a ``GAMMA_GRID``-point grid and
@@ -34,6 +39,7 @@ tail ``phi_{n+2} .. phi_{2n+2}`` drives the O(h^{n+2}) residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +47,7 @@ import numpy as np
 
 from .errors import AccuracyError, DegenerateAnchorError, UsageError
 from .potential import HALF_LINE, Anchor
-from .series import TruncatedSeries, derivative_rows, horner
+from .series import TruncatedSeries, derivative_rows, estimate_radius, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
 GAMMA_GRID = 4096
@@ -77,45 +83,45 @@ def eikonal_rhs(P, anchor, K, at=0.0):
     return rhs.shifted_constant(-(P.eval(anchor.h, anchor.a) + anchor.eta**2))
 
 
-def _transport_derivs(dpsi_m1, n):
-    """Local series psi_m' for m = 0..n from the leading derivative."""
-    rho = (2.0 * dpsi_m1).recip()
-    derivs = [dpsi_m1]
-    for m in range(-1, n):
-        source = derivs[m + 1].deriv()  # psi_m''
-        for j in range(0, m + 1):  # pairs j + k = m with j, k >= 0
-            source = source - derivs[j + 1] * derivs[m - j + 1]
-        derivs.append(rho * source)
-    return derivs
+def _local_series(rhs, n, branch, lowest):
+    """(psi_m' for m = -1..n, phi_j for j = lowest..2n+2, radius) at a centre.
 
-
-def _local_series(P, anchor, n, K, center, branch, lowest):
-    """(psi_m' for m = -1..n, phi_j for j = lowest..2n+2, radius) at ``center``.
-
-    ``branch`` is the value of psi_{-1}' at the centre.  The centre asks
+    ``rhs`` holds the coefficients of the eikonal right-hand side at the
+    centre and ``branch`` the value of psi_{-1}' there.  The centre asks
     for every phi_j (``lowest`` = 0, for :func:`build_phase`); the march
     only for the tail (``lowest`` = n + 2), since the transport recursion
     makes the others vanish.  Each transport level consumes one
     differentiation, so psi_m' is only exact up to degree K - 1 - m and
     phi_j up to degree K - j; the coefficients above that are truncation
-    noise and are cut off.  The radius is the smallest root-test estimate
-    among the right-hand side and the psi_m' (1 when none is finite).
+    noise and are cut off.  All are coefficient arrays (the psi_m' the rows
+    of one); the radius is the smallest root-test estimate among the
+    right-hand side and the psi_m' (1 when none is finite).
     """
-    rhs = eikonal_rhs(P, anchor, K, at=center)
-    derivs = _transport_derivs(rhs.sqrt(branch), n)
+    K = rhs.size - 1
+    ks = np.arange(1, K + 1)
+    rows = np.empty((n + 3, K + 1), dtype=complex)  # rhs, psi_{-1}' .. psi_n'
+    rows[0] = rhs
+    rows[1] = TruncatedSeries(rhs).sqrt(branch).coeffs
+    rho = TruncatedSeries(rows[1] * 2.0).recip().coeffs
+    derivs = rows[1:]
+    for m in range(-1, n):
+        source = np.zeros(K + 1, dtype=complex)
+        source[:-1] = derivs[m + 1][1:] * ks  # psi_m''
+        for j in range(0, m + 1):  # pairs j + k = m with j, k >= 0
+            source -= np.convolve(derivs[j + 1], derivs[m - j + 1])[: K + 1]
+        derivs[m + 2] = np.convolve(rho, source)[: K + 1]
     phis = []
     for j in range(lowest, 2 * n + 3):
-        acc = TruncatedSeries.zero(K)
+        acc = np.zeros(K + 1, dtype=complex)
         if -1 <= j - 2 <= n:
-            acc = acc + derivs[j - 1].deriv()
+            acc[:-1] += derivs[j - 1][1:] * ks
         for m in range(-1, n + 1):
-            k = j - 2 - m
-            if -1 <= k <= n:
-                acc = acc - derivs[m + 1] * derivs[k + 1]
+            if -1 <= j - 2 - m <= n:
+                acc -= np.convolve(derivs[m + 1], derivs[j - 1 - m])[: K + 1]
         if j == 0:
-            acc = acc + rhs
-        phis.append(TruncatedSeries(acc.coeffs[: max(K - j, 0) + 1]))
-    radius = min([rhs.estimate_radius()] + [d.estimate_radius() for d in derivs])
+            acc += rhs
+        phis.append(acc[: max(K - j, 0) + 1])
+    radius = estimate_radius(rows)
     return derivs, phis, radius if math.isfinite(radius) else 1.0
 
 
@@ -125,10 +131,11 @@ def _central_series(P, anchor, n, K):
         raise UsageError("JWKB order must be >= 0")
     if K is None:
         K = default_truncation(n)
-    derivs, phis, radius = _local_series(P, anchor, n, K, 0.0, 1j * anchor.eta, 0)
+    rhs = eikonal_rhs(P, anchor, K).coeffs
+    derivs, phis, radius = _local_series(rhs, n, 1j * anchor.eta, 0)
     # concentration requires Re of the s^2 coefficient of psi_{-1}, i.e.
     # Re psi_{-1}''(0)/2 = Im V'(a)/(4 eta), to be positive
-    if derivs[0].coeffs[1].real <= 0:
+    if derivs[0][1].real <= 0:
         raise DegenerateAnchorError(
             "quadratic phase coefficient has nonpositive real part"
         )
@@ -152,9 +159,9 @@ class PhaseExpansion:
 def build_phase(P, anchor, n, K=None):
     """Phase expansion psi_{-1} .. psi_n and phi_0 .. phi_{2n+2} at s = 0."""
     K, derivs, phis, _ = _central_series(P, anchor, n, K)
-    return PhaseExpansion(
-        psi=[d.antideriv(0.0) for d in derivs], phis=phis, n=n, K=K, anchor=anchor
-    )
+    psi = [TruncatedSeries(d).antideriv(0.0) for d in derivs]
+    phis = [TruncatedSeries(p) for p in phis]
+    return PhaseExpansion(psi=psi, phis=phis, n=n, K=K, anchor=anchor)
 
 
 def phi_cascade(phase, P):
@@ -183,15 +190,16 @@ class _Segment:
 
 def _fold(h, n, center, derivs, tail_phis, radius, lead0, phase0):
     """Segment whose psi_{-1} and folded phase take lead0, phase0 at t = 0;
-    ``tail_phis`` are phi_{n+2} .. phi_{2n+2}."""
-    dphase = sum(h**m * d.coeffs for m, d in enumerate(derivs, start=-1))
-    tail = np.zeros(tail_phis[0].coeffs.size, dtype=complex)
+    ``tail_phis`` are phi_{n+2} .. phi_{2n+2} (all coefficient arrays)."""
+    dphase = sum(h**m * d for m, d in enumerate(derivs, start=-1))
+    tail = np.zeros(tail_phis[0].size, dtype=complex)
     for j, phi in enumerate(tail_phis, start=n + 2):
-        tail[: phi.coeffs.size] += h**j * phi.coeffs
+        tail[: phi.size] += h**j * phi
+    dlead = TruncatedSeries(derivs[0].copy())  # a view would keep all rows alive
     return _Segment(
         center=center,
-        lead=derivs[0].antideriv(lead0),
-        dlead=derivs[0],
+        lead=dlead.antideriv(lead0),
+        dlead=dlead,
         phase=TruncatedSeries(dphase).antideriv(phase0),
         tail=TruncatedSeries(tail),
         radius_est=radius,
@@ -244,6 +252,7 @@ class PiecewisePhase:
 
 def _march(P, anchor, n, K, first, direction):
     """Continue the phase chain from ``first`` out to |s| ~ DEFAULT_SPAN."""
+    shift = -(P.eval(anchor.h, anchor.a) + anchor.eta**2)
     segments = []
     seg = first
     for _ in range(MAX_SEGMENTS):
@@ -253,23 +262,20 @@ def _march(P, anchor, n, K, first, direction):
             break
         if P.domain == HALF_LINE and anchor.a + center <= 1e-12:
             break
-        branch = seg.dlead.eval(step)
-        rhs0 = eikonal_rhs(P, anchor, 1, at=center).coeffs[0]
-        if abs(rhs0) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
-            break  # a real turning point: stop the continuation here
-        root = np.sqrt(rhs0)
-        branch = root if abs(root - branch) <= abs(-root - branch) else -root
         try:
             with np.errstate(invalid="ignore", over="ignore"):
-                derivs, phis, radius = _local_series(
-                    P, anchor, n, K, center, branch, n + 2
-                )
-                if not all(np.isfinite(d.coeffs).all() for d in derivs):
+                rhs = P.taylor_at(anchor.h, anchor.a + center, K).coeffs.copy()
+                rhs[0] += shift
+                if abs(rhs[0]) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
+                    break  # a real turning point: stop the continuation here
+                table = np.array([seg.dlead.coeffs, seg.lead.coeffs, seg.phase.coeffs])
+                branch, lead0, phase0 = horner(table, slice(None), step)
+                root = np.sqrt(rhs[0])
+                branch = root if abs(root - branch) <= abs(-root - branch) else -root
+                derivs, phis, radius = _local_series(rhs, n, branch, n + 2)
+                if not np.isfinite(derivs).all():
                     break  # coefficient overflow (e.g. near a singular endpoint)
-                seg = _fold(
-                    anchor.h, n, center, derivs, phis, radius,
-                    seg.lead.eval(step), seg.phase.eval(step),
-                )
+                seg = _fold(anchor.h, n, center, derivs, phis, radius, lead0, phase0)
         except (UsageError, DegenerateAnchorError):
             break
         segments.append(seg)
@@ -289,7 +295,7 @@ def build_piecewise(P, anchor, n, K=None):
         n=n,
         K=K,
         anchor=anchor,
-        tail_magnitudes=[float(np.max(np.abs(p.coeffs))) for p in phis[n + 2 :]],
+        tail_magnitudes=[float(np.max(np.abs(p))) for p in phis[n + 2 :]],
     )
 
 
@@ -409,11 +415,18 @@ def select_delta(pw):
         raise DegenerateAnchorError("no admissible cutoff radius")
     kmax = int(ok.sum())  # ok is a prefix: its first False is at kmax
     re_sym = np.minimum(re[half:], re[half - 1 :: -1])
-    best_k, best_seam = None, -1.0
-    for k in range(1, kmax):
-        seam = re_sym[(k + 1) // 2 : k + 1].min()
-        if seam > best_seam:
-            best_seam, best_k = seam, k
+    # seam minima re_sym[(k+1)//2 : k+1] for all k from a sparse table:
+    # mins[j, i] is the minimum of re_sym[i : i + 2**j]
+    k = np.arange(1, kmax)
+    lo = (k + 1) // 2
+    j = np.frexp(k + 1 - lo)[1] - 1  # largest j with 2**j <= window width
+    mins = np.full((j.max() + 1, kmax), np.inf)
+    mins[0] = re_sym[:kmax]
+    for i in range(1, mins.shape[0]):
+        w = 1 << (i - 1)
+        mins[i, :-w] = np.minimum(mins[i - 1, :-w], mins[i - 1, w:])
+    seam = np.minimum(mins[j, lo], mins[j, k + 1 - (1 << j)])
+    best_k = int(k[np.argmax(seam)])  # the first maximum
     inner = slice(0, best_k + 1)
     return float(x[best_k]), float(q_sym[inner].min()), float(1.0 / dp_sym[inner].min())
 
@@ -489,10 +502,16 @@ def residual_pointwise(P, Q, s):
     return tuple(out.reshape((3,) + np.shape(s)))
 
 
+@functools.cache
+def _legendre_rule():
+    """Gauss-Legendre nodes and weights, computed once on first use."""
+    return np.polynomial.legendre.leggauss(PANEL_NODES)
+
+
 def _panel_quadrature(P, Q, panels):
     """Integrals of |residual|^2, |f~|^2 and the cutoff-commutator part."""
     delta = Q.delta
-    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+    nodes, weights = _legendre_rule()
     edges = np.linspace(-delta, delta, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

@@ -53,10 +53,6 @@ class TruncatedSeries:
         """Truncation degree; ``len(coeffs) == K + 1`` always."""
         return self.coeffs.size - 1
 
-    @classmethod
-    def zero(cls, K):
-        return cls(np.zeros(K + 1, dtype=complex))
-
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs.tolist()!r})"
 
@@ -166,26 +162,23 @@ class TruncatedSeries:
         table = derivative_rows(self.coeffs)
         return tuple(horner(table, j, s) for j in range(3))
 
-    def estimate_radius(self):
-        """Root-test estimate of the convergence radius.
 
-        Uses 1 / max |c_k|**(1/k) over the top half of the coefficient
-        range; with fewer than 4 nonzero coefficients (or an empty top
-        half) the series is treated as polynomial-like and +inf is
-        returned.  This is a heuristic, typically good to a few tens of
-        percent for modest K.
-        """
-        c = self.coeffs
-        if np.count_nonzero(c) < 4:
-            return math.inf
-        lo = max(1, (c.size - 1) // 2)
-        mags = np.abs(c[lo:])
-        ks = np.arange(lo, c.size)
-        nz = mags > 0
-        if not nz.any():
-            return math.inf
-        rate = np.max(mags[nz] ** (1.0 / ks[nz]))
-        return 1.0 / rate
+def estimate_radius(rows):
+    """Root-test estimate of the convergence radius, smallest over ``rows``.
+
+    Each row of coefficients gives 1 / max |c_k|**(1/k) over the top half
+    of its coefficient range; a row with fewer than 4 nonzero coefficients
+    (or an empty top half) is treated as polynomial-like and gives +inf.
+    This is a heuristic, typically good to a few tens of percent for
+    modest K.
+    """
+    c = np.asarray(rows)
+    lo = max(1, (c.shape[1] - 1) // 2)
+    powers = np.abs(c[:, lo:]) ** (1.0 / np.arange(lo, c.shape[1]))
+    # fmax skips NaN, which the test |c_k| > 0 also leaves out
+    rates = np.fmax.reduce(powers, axis=1, initial=0.0)
+    rate = rates[np.count_nonzero(c, axis=1) >= 4].max(initial=0.0)
+    return 1.0 / rate if rate > 0 else math.inf
 
 
 def derivative_rows(coeffs):
@@ -201,10 +194,12 @@ def derivative_rows(coeffs):
 def horner(table, rows, t):
     """Evaluate, at each t, the polynomial ``table[rows]`` (lowest degree first).
 
-    ``rows`` is one row index or one per point.  Sums from the top degree
-    down, gathering one column per degree and updating the sum in place."""
+    ``rows`` is one row index, one per point, or a slice of rows to
+    evaluate at a scalar t (``slice(None)`` gives every row's value).
+    Sums from the top degree down, gathering one column per degree and
+    updating the sum in place."""
     t = np.asanyarray(t)
-    y = np.zeros(t.shape, dtype=complex)
+    y = np.zeros(np.broadcast(t, table[rows, 0]).shape, dtype=complex)
     for k in range(table.shape[-1] - 1, -1, -1):
         y *= t
         y += table[rows, k]

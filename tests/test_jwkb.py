@@ -8,9 +8,12 @@ import pytest
 from quasimodes import jwkb
 from quasimodes.errors import AccuracyError, DegenerateAnchorError, UsageError
 from quasimodes.potential import PotentialFamily, make_anchor
+from quasimodes.series import TruncatedSeries
 
 IX = PotentialFamily(((1j, 1, 0),))
 IX3 = PotentialFamily(((1j, 3, 0),))
+X4 = PotentialFamily(((1 + 1j, 4, 0),))
+HALF = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
 
 
 def binom(alpha, k):
@@ -78,18 +81,80 @@ def test_phi_cascade_vanishes_below_tail():
                 assert np.abs(phis[j].coeffs).max() <= 1e-12 * scale
 
 
+def root_test(series):
+    """Root-test radius of one series, as a per-series method would give it."""
+    c = series.coeffs
+    if np.count_nonzero(c) < 4:
+        return math.inf
+    lo = max(1, (c.size - 1) // 2)
+    mags = np.abs(c[lo:])
+    ks = np.arange(lo, c.size)
+    nz = mags > 0
+    if not nz.any():
+        return math.inf
+    return 1.0 / np.max(mags[nz] ** (1.0 / ks[nz]))
+
+
+def operator_chain(rhs, n, branch, lowest):
+    """The local expansion built from TruncatedSeries operators only:
+    (psi_m' for m = -1..n, phi_j for j = lowest..2n+2, radius)."""
+    K = rhs.K
+    derivs = [rhs.sqrt(branch)]
+    rho = (2.0 * derivs[0]).recip()
+    for m in range(-1, n):
+        source = derivs[m + 1].deriv()
+        for j in range(0, m + 1):
+            source = source - derivs[j + 1] * derivs[m - j + 1]
+        derivs.append(rho * source)
+    phis = []
+    for j in range(lowest, 2 * n + 3):
+        acc = TruncatedSeries(np.zeros(K + 1))
+        if -1 <= j - 2 <= n:
+            acc = acc + derivs[j - 1].deriv()
+        for m in range(-1, n + 1):
+            k = j - 2 - m
+            if -1 <= k <= n:
+                acc = acc - derivs[m + 1] * derivs[k + 1]
+        if j == 0:
+            acc = acc + rhs
+        phis.append(acc.coeffs[: max(K - j, 0) + 1])
+    radius = min([root_test(rhs)] + [root_test(d) for d in derivs])
+    return derivs, phis, radius if math.isfinite(radius) else 1.0
+
+
 def test_phi_top_tail_is_minus_dpsi_n_squared():
     n = 1
     phase = jwkb.build_phase(IX3, cubic_anchor(), n, 24)
     phis = jwkb.phi_cascade(phase, IX3)
     rhs = jwkb.eikonal_rhs(IX3, phase.anchor, phase.K)
-    dpsi = jwkb._transport_derivs(rhs.sqrt(1j * phase.anchor.eta), n)
+    dpsi = operator_chain(rhs, n, 1j * phase.anchor.eta, 2 * n + 2)[0]
     ref = -1.0 * (dpsi[n + 1] * dpsi[n + 1])
     top = phis[2 * n + 2]
     m = top.K + 1
     np.testing.assert_allclose(
         top.coeffs, ref.coeffs[:m], atol=1e-12 * np.abs(ref.coeffs).max()
     )
+
+
+@pytest.mark.parametrize(
+    "P, a, eta", [(IX3, 1.0, 1.0), (X4, 1.0, 1.0), (HALF, 0.62, 0.6)]
+)
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_local_series_matches_operator_chain(P, a, eta, n):
+    # bit for bit, at the anchor (every phi_j) and at every march centre (tail)
+    anchor = make_anchor(P, 0.05, a, eta)
+    pw = jwkb.build_piecewise(P, anchor, n)
+    for seg in pw.segments:
+        rhs = jwkb.eikonal_rhs(P, anchor, pw.K, at=seg.center)
+        branch = seg.dlead.coeffs[0]
+        lowest = 0 if seg.center == 0.0 else n + 2
+        derivs, phis, radius = jwkb._local_series(rhs.coeffs, n, branch, lowest)
+        ref_derivs, ref_phis, ref_radius = operator_chain(rhs, n, branch, lowest)
+        assert len(derivs) == n + 2 and len(phis) == len(ref_phis)
+        refs = [d.coeffs for d in ref_derivs] + ref_phis
+        for got, ref in zip(list(derivs) + phis, refs):
+            assert got.tobytes() == ref.tobytes()
+        assert radius == ref_radius and radius == seg.radius_est
 
 
 def test_piecewise_matches_central_series_near_anchor():
@@ -184,6 +249,41 @@ def test_select_delta_certifies_concentration():
     # the different sample points used here
     assert np.all(v.real >= 0.95 * gamma * s**2)
     assert np.all(np.abs(2 * d1) >= 0.95 / beta)
+
+
+def brute_force_delta(pw):
+    """(delta, gamma, beta) with the seam minimum taken slice by slice."""
+    lo, hi = pw.coverage
+    span = 0.98 * min(-lo, hi)
+    half = jwkb.GAMMA_GRID // 2
+    x = span * np.arange(1, half + 1) / half
+    s = np.concatenate([-x[::-1], x])
+    v, d1 = pw.leading_at(s)
+    q = v.real / s**2
+    dp = np.abs(2.0 * d1)
+    q_sym = np.minimum(q[half:], q[half - 1 :: -1])
+    dp_sym = np.minimum(dp[half:], dp[half - 1 :: -1])
+    re_sym = np.minimum(v.real[half:], v.real[half - 1 :: -1])
+    kmax = 0
+    while kmax < half and q_sym[kmax] > 0 and dp_sym[kmax] > 1e-12:
+        kmax += 1
+    best_k, best_seam = None, -1.0
+    for k in range(1, kmax):
+        seam = re_sym[(k + 1) // 2 : k + 1].min()
+        if seam > best_seam:
+            best_seam, best_k = seam, k
+    inner = slice(0, best_k + 1)
+    return float(x[best_k]), float(q_sym[inner].min()), float(1.0 / dp_sym[inner].min())
+
+
+@pytest.mark.parametrize(
+    "P, a, eta", [(IX, 0.0, 1.0), (IX3, 1.0, 1.0), (X4, 1.0, 1.0), (HALF, 0.62, 0.6)]
+)
+def test_select_delta_matches_brute_force(P, a, eta):
+    for n in (0, 2):
+        for h in (0.5, 0.05, 0.00625):
+            pw = jwkb.build_piecewise(P, make_anchor(P, h, a, eta), n)
+            assert jwkb.select_delta(pw) == brute_force_delta(pw)
 
 
 def test_quasimode_values_peak_at_anchor():
