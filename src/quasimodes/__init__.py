@@ -23,7 +23,6 @@ from .jwkb import (
     build_quasimode,
     certify,
     cutoff_eval,
-    phi_cascade,
     residual_ratio,
     select_delta,
     sweep_h,

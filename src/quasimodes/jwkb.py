@@ -11,19 +11,20 @@ Pipeline, for a potential family ``P`` and a validated anchor
    ``Hf - zf = (sum_j h^j phi_j) f``.  :func:`build_phase` is this
    expansion at s = 0, normalized by ``psi_m(0) = 0``, and the only one
    that keeps ``phi_0 .. phi_{n+1}``.
-2. :func:`build_piecewise` repeats it at a chain of centres along the
-   real axis: a single central series only converges up to the nearest
-   complex turning point, far too small an interval for the cutoff (the
-   suppression of the cutoff commutator needs ``gamma * delta^2 >> h``).
-   Each step of the march advances ``STEP_FRACTION`` of the radius
-   estimate and works on coefficient arrays: the constant term of the new
-   right-hand side (``V_h(a) + eta^2`` is computed once per march) is the
-   turning-point test and gives ``psi_{-1}'`` up to sign; one ``horner``
-   call on the previous segment's rows gives the sign and the integration
-   constants, and one root test over the new rows the next radius.  Each
-   segment keeps ``psi_{-1}``, ``psi_{-1}'`` and, folded with h,
-   ``sum_m h^m psi_m`` and the tail ``sum_j h^j phi_j``; one ``horner``
-   call per series evaluates all points, each on its nearest segment.
+2. :func:`build_piecewise` folds a march.  A central series only
+   converges up to the nearest complex turning point, far too small an
+   interval for the cutoff (the suppression of its commutator needs
+   ``gamma * delta^2 >> h``), so :func:`_march` repeats the expansion at
+   a chain of centres, each ``STEP_FRACTION`` of the radius estimate from
+   the last.  The constant term of each new right-hand side (``V_h(a) +
+   eta^2`` is computed once per march) is the turning-point test and
+   gives ``psi_{-1}'`` up to sign, the previous ``psi_{-1}'`` row the sign.
+   The march keeps h-free data only (centres, steps, ``psi_m'`` and tail
+   ``phi_j`` rows, radii): h enters its equations only through V_h.
+   :func:`_fold` builds one (segment, 4, K+1) array of ``psi_{-1}``,
+   ``psi_{-1}'``, ``sum_m h^m psi_m`` and ``sum_j h^j phi_j``, with
+   integration constants summed outward from the anchor, and
+   :func:`sweep_h` folds one march at every h when V_h has no h term.
 3. :func:`select_delta` chooses delta on a ``GAMMA_GRID``-point grid and
    certifies gamma with ``gamma*s^2 <= Re psi_{-1}(s)`` and a bound on
    ``|rho|`` on ``[-delta, delta]``.
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, DegenerateAnchorError, UsageError
-from .potential import HALF_LINE, Anchor
+from .potential import HALF_LINE, Anchor, make_anchor
 from .series import TruncatedSeries, derivative_rows, estimate_radius, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
@@ -93,8 +94,8 @@ def _local_series(rhs, n, branch, lowest):
     makes the others vanish.  Each transport level consumes one
     differentiation, so psi_m' is only exact up to degree K - 1 - m and
     phi_j up to degree K - j; the coefficients above that are truncation
-    noise and are cut off.  All are coefficient arrays (the psi_m' the rows
-    of one); the radius is the smallest root-test estimate among the
+    noise and are set to 0.  The psi_m' and the phi_j are the rows of two
+    arrays; the radius is the smallest root-test estimate among the
     right-hand side and the psi_m' (1 when none is finite).
     """
     K = rhs.size - 1
@@ -110,9 +111,8 @@ def _local_series(rhs, n, branch, lowest):
         for j in range(0, m + 1):  # pairs j + k = m with j, k >= 0
             source -= np.convolve(derivs[j + 1], derivs[m - j + 1])[: K + 1]
         derivs[m + 2] = np.convolve(rho, source)[: K + 1]
-    phis = []
-    for j in range(lowest, 2 * n + 3):
-        acc = np.zeros(K + 1, dtype=complex)
+    phis = np.zeros((2 * n + 3 - lowest, K + 1), dtype=complex)
+    for j, acc in enumerate(phis, start=lowest):
         if -1 <= j - 2 <= n:
             acc[:-1] += derivs[j - 1][1:] * ks
         for m in range(-1, n + 1):
@@ -120,7 +120,7 @@ def _local_series(rhs, n, branch, lowest):
                 acc -= np.convolve(derivs[m + 1], derivs[j - 1 - m])[: K + 1]
         if j == 0:
             acc += rhs
-        phis.append(acc[: max(K - j, 0) + 1])
+        acc[max(K - j, 0) + 1 :] = 0.0
     radius = estimate_radius(rows)
     return derivs, phis, radius if math.isfinite(radius) else 1.0
 
@@ -160,73 +160,102 @@ def build_phase(P, anchor, n, K=None):
     """Phase expansion psi_{-1} .. psi_n and phi_0 .. phi_{2n+2} at s = 0."""
     K, derivs, phis, _ = _central_series(P, anchor, n, K)
     psi = [TruncatedSeries(d).antideriv(0.0) for d in derivs]
-    phis = [TruncatedSeries(p) for p in phis]
+    phis = [TruncatedSeries(p[: max(K - j, 0) + 1]) for j, p in enumerate(phis)]
     return PhaseExpansion(psi=psi, phis=phis, n=n, K=K, anchor=anchor)
-
-
-def phi_cascade(phase, P):
-    """Coefficients phi_0 .. phi_{2n+2} of Hf - zf = (sum h^m phi_m) f.
-
-    phi_0 carries the eikonal mismatch -(psi_{-1}')^2 + V_h - z (zero by
-    construction up to truncation); phi_1 .. phi_{n+1} vanish by the
-    transport recursion; the tail phi_{n+2} .. phi_{2n+2} survives.
-    ``phase`` already holds them for its family ``P``.
-    """
-    return phase.phis
 
 
 # -- piecewise analytic continuation --------------------------------------
 
 
 @dataclass
-class _Segment:
-    center: float  # local coordinate s of the expansion point
-    lead: TruncatedSeries  # psi_{-1}
-    dlead: TruncatedSeries  # psi_{-1}'
-    phase: TruncatedSeries  # sum_m h^m psi_m
-    tail: TruncatedSeries  # sum_{j=n+2}^{2n+2} h^j phi_j
-    radius_est: float
+class _Chain:
+    """The h-free march, one entry per segment, sorted by centre."""
+
+    centers: np.ndarray
+    steps: np.ndarray  # from the inward neighbour's centre (0 at the anchor)
+    derivs: np.ndarray  # (segment, n + 2, K + 1): psi_{-1}' .. psi_n'
+    tails: np.ndarray  # (segment, n + 1, K + 1): phi_{n+2} .. phi_{2n+2}
+    radii: np.ndarray
+    origin: int  # index of the anchor's segment
 
 
-def _fold(h, n, center, derivs, tail_phis, radius, lead0, phase0):
-    """Segment whose psi_{-1} and folded phase take lead0, phase0 at t = 0;
-    ``tail_phis`` are phi_{n+2} .. phi_{2n+2} (all coefficient arrays)."""
-    dphase = sum(h**m * d for m, d in enumerate(derivs, start=-1))
-    tail = np.zeros(tail_phis[0].size, dtype=complex)
-    for j, phi in enumerate(tail_phis, start=n + 2):
-        tail[: phi.size] += h**j * phi
-    dlead = TruncatedSeries(derivs[0].copy())  # a view would keep all rows alive
-    return _Segment(
-        center=center,
-        lead=dlead.antideriv(lead0),
-        dlead=dlead,
-        phase=TruncatedSeries(dphase).antideriv(phase0),
-        tail=TruncatedSeries(tail),
-        radius_est=radius,
-    )
+def _march(P, anchor, n, K=None):
+    """The :class:`_Chain` from s = 0 each way out to |s| ~ DEFAULT_SPAN."""
+    K, derivs, phis, radius = _central_series(P, anchor, n, K)
+    shift = -(P.eval(anchor.h, anchor.a) + anchor.eta**2)
+    first = (0.0, 0.0, derivs, phis[n + 2 :], radius)
+    sides = []
+    for direction in (1.0, -1.0):
+        side, (center, _, derivs, _, radius) = [], first
+        for _ in range(MAX_SEGMENTS):
+            step = direction * STEP_FRACTION * radius
+            center = center + step
+            if direction * center > DEFAULT_SPAN:
+                break
+            if P.domain == HALF_LINE and anchor.a + center <= 1e-12:
+                break
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    rhs = P.taylor_at(anchor.h, anchor.a + center, K).coeffs.copy()
+                    rhs[0] += shift
+                    if abs(rhs[0]) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
+                        break  # a real turning point: stop the continuation here
+                    branch = horner(derivs, 0, step)
+                    root = np.sqrt(rhs[0])
+                    branch = root if abs(root - branch) <= abs(root + branch) else -root
+                    derivs, phis, radius = _local_series(rhs, n, branch, n + 2)
+                    if not np.isfinite(derivs).all():
+                        break  # coefficient overflow (e.g. near a singular endpoint)
+            except (UsageError, DegenerateAnchorError):
+                break
+            side.append((center, step, derivs, phis, radius))
+        sides.append(side)
+    segments = sides[1][::-1] + [first] + sides[0]
+    return _Chain(*map(np.array, zip(*segments)), origin=len(sides[1]))
+
+
+def _fold(chain, anchor):
+    """The continued phase of ``chain`` at the anchor's h.  Outward from the
+    anchor, the constant of psi_{-1} (and of sum_m h^m psi_m) at a segment is
+    that of its inward neighbour plus the neighbour's row, with constant 0,
+    at the step between them: one cumulative sum per side."""
+    h, derivs = anchor.h, chain.derivs
+    count, n, width = derivs.shape[0], derivs.shape[1] - 2, derivs.shape[2]
+    segments = np.zeros((count, 4, width), dtype=complex)
+    segments[:, 1] = derivs[:, 0]
+    dphase = sum(h**m * derivs[:, m + 1] for m in range(-1, n + 1))
+    for j in range(n + 2, 2 * n + 3):
+        segments[:, 3] += h**j * chain.tails[:, j - n - 2]
+    k = np.arange(1, width)
+    segments[:, 0, 1:] = derivs[:, 0, :-1] / k
+    segments[:, 2, 1:] = dphase[:, :-1] / k
+    i = np.arange(count)
+    o = chain.origin
+    with np.errstate(invalid="ignore", over="ignore"):
+        for row in (0, 2):
+            rise = horner(segments[:, row], i - np.sign(i - o), chain.steps)
+            for side in (i[o + 1 :], i[:o][::-1]):
+                segments[side, row, 0] = np.cumsum(rise[side])
+    ends = chain.centers[[0, -1]] + STEP_FRACTION * chain.radii[[0, -1]] * [-1, 1]
+    mags = [float(np.max(np.abs(p))) for p in chain.tails[o]]
+    return PiecewisePhase(segments, chain.centers, n, width - 1, anchor, mags, ends)
 
 
 @dataclass
 class PiecewisePhase:
-    """Phases continued along the real axis by chained re-expansions."""
+    """Phases continued along the real axis by chained re-expansions.
 
-    segments: list  # of _Segment, sorted by center
+    ``segments[i]`` holds the coefficients, in t = s - centers[i], of
+    psi_{-1}, psi_{-1}', sum_m h^m psi_m and sum_{j=n+2}^{2n+2} h^j phi_j.
+    """
+
+    segments: np.ndarray  # (segment, 4, K + 1), sorted by center
     centers: np.ndarray
     n: int
     K: int
     anchor: Anchor
     tail_magnitudes: list  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
-
-    @property
-    def coverage(self):
-        """(s_min, s_max) actually reachable by the continuation."""
-        left = self.centers[0] - STEP_FRACTION * self.segments[0].radius_est
-        right = self.centers[-1] + STEP_FRACTION * self.segments[-1].radius_est
-        return left, right
-
-    def _table(self, name):
-        """Coefficients of the series ``name`` of every segment, one row each."""
-        return np.array([getattr(g, name).coeffs for g in self.segments])
+    coverage: np.ndarray  # (s_min, s_max) actually reachable by the continuation
 
     def _eval(self, s, *tables):
         """Evaluate tables (one row per segment) at s, each point on the segment
@@ -239,64 +268,20 @@ class PiecewisePhase:
 
     def phase_at(self, s):
         """(psi, psi', psi'') of sum_m h^m psi_m at s (scalar or array)."""
-        return self._eval(s, *derivative_rows(self._table("phase")))
+        return self._eval(s, *derivative_rows(self.segments[:, 2]))
 
     def leading_at(self, s):
         """(psi_{-1}, psi_{-1}') without h weights, for certification."""
-        return self._eval(s, self._table("lead"), self._table("dlead"))
+        return self._eval(s, self.segments[:, 0], self.segments[:, 1])
 
     def tail_at(self, s):
         """sum_{m=n+2}^{2n+2} h^m phi_m(s), the interior residual factor."""
-        return self._eval(s, self._table("tail"))[0]
-
-
-def _march(P, anchor, n, K, first, direction):
-    """Continue the phase chain from ``first`` out to |s| ~ DEFAULT_SPAN."""
-    shift = -(P.eval(anchor.h, anchor.a) + anchor.eta**2)
-    segments = []
-    seg = first
-    for _ in range(MAX_SEGMENTS):
-        step = direction * STEP_FRACTION * seg.radius_est
-        center = seg.center + step
-        if direction * center > DEFAULT_SPAN:
-            break
-        if P.domain == HALF_LINE and anchor.a + center <= 1e-12:
-            break
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                rhs = P.taylor_at(anchor.h, anchor.a + center, K).coeffs.copy()
-                rhs[0] += shift
-                if abs(rhs[0]) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
-                    break  # a real turning point: stop the continuation here
-                table = np.array([seg.dlead.coeffs, seg.lead.coeffs, seg.phase.coeffs])
-                branch, lead0, phase0 = horner(table, slice(None), step)
-                root = np.sqrt(rhs[0])
-                branch = root if abs(root - branch) <= abs(-root - branch) else -root
-                derivs, phis, radius = _local_series(rhs, n, branch, n + 2)
-                if not np.isfinite(derivs).all():
-                    break  # coefficient overflow (e.g. near a singular endpoint)
-                seg = _fold(anchor.h, n, center, derivs, phis, radius, lead0, phase0)
-        except (UsageError, DegenerateAnchorError):
-            break
-        segments.append(seg)
-    return segments
+        return self._eval(s, self.segments[:, 3])[0]
 
 
 def build_piecewise(P, anchor, n, K=None):
     """Phase expansion continued over |s| <~ DEFAULT_SPAN around the anchor."""
-    K, derivs, phis, radius = _central_series(P, anchor, n, K)
-    first = _fold(anchor.h, n, 0.0, derivs, phis[n + 2 :], radius, 0.0, 0.0)
-    right = _march(P, anchor, n, K, first, +1.0)
-    left = _march(P, anchor, n, K, first, -1.0)
-    segments = list(reversed(left)) + [first] + right
-    return PiecewisePhase(
-        segments=segments,
-        centers=np.array([s.center for s in segments]),
-        n=n,
-        K=K,
-        anchor=anchor,
-        tail_magnitudes=[float(np.max(np.abs(p))) for p in phis[n + 2 :]],
-    )
+    return _fold(_march(P, anchor, n, K), anchor)
 
 
 # -- cutoff ---------------------------------------------------------------
@@ -378,7 +363,7 @@ class Quasimode:
         out = np.zeros(xi.shape, dtype=complex)
         inside = xi > 0
         pw = self.phase
-        (v,) = pw._eval(np.atleast_1d(s)[inside], pw._table("phase"))
+        (v,) = pw._eval(np.atleast_1d(s)[inside], pw.segments[:, 2])
         out[inside] = xi[inside] * np.exp(-v)
         return out.reshape(np.shape(s))
 
@@ -434,8 +419,7 @@ def select_delta(pw):
 def build_quasimode(P, anchor, n, K=None):
     """Full construction: continued phases plus certified (delta, gamma)."""
     pw = build_piecewise(P, anchor, n, K)
-    delta, gamma, beta = select_delta(pw)
-    return Quasimode(phase=pw, delta=delta, gamma=gamma, beta=beta)
+    return Quasimode(pw, *select_delta(pw))
 
 
 # -- residual quadrature --------------------------------------------------
@@ -600,18 +584,25 @@ def certify(P, anchor, n, K=None, allow_large_h=False):
 def sweep_h(P, a, eta, n, h_list, K=None):
     """Certificates over an h grid at fixed (a, eta), plus the slope fit.
 
-    Returns (certs, slope, fit_residual) where slope is the least-squares
-    slope of log r against log h.  The expected law is r ~ h^(n+2).
+    Only the fold of the phases depends on h when no term of V_h carries
+    h: then the chain is marched once, at the first h, and folded at each
+    h; otherwise it is marched once per h.  Each fold is certified through
+    :func:`select_delta` and :func:`residual_ratio`, so every certificate
+    equals that of :func:`certify` at its h.  Returns (certs, slope,
+    fit_residual) where slope is the least-squares slope of log r against
+    log h.  The expected law is r ~ h^(n+2).
     """
-    from .potential import make_anchor
-
     h_list = list(h_list)
     if len(h_list) < 3:
         raise UsageError("h sweep needs at least 3 values")
-    certs = []
+    certs, chain = [], None
     for h in h_list:
         anchor = make_anchor(P, h, a, eta)
-        certs.append(certify(P, anchor, n, K, allow_large_h=True))
+        if chain is None or P.depends_on_h:
+            chain = _march(P, anchor, n, K)
+        pw = _fold(chain, anchor)
+        Q = Quasimode(pw, *select_delta(pw))
+        certs.append(residual_ratio(P, Q, allow_large_h=True))
     logs = np.log([c.h for c in certs])
     logr = np.log([c.r for c in certs])
     (slope, _), res, *_ = np.polyfit(logs, logr, 1, full=True)

@@ -136,6 +136,11 @@ class PotentialFamily:
         return TruncatedSeries(out)
 
     @property
+    def depends_on_h(self):
+        """True when some term of V_h carries a power of h."""
+        return any(e != 0 for _, _, e in self.terms)
+
+    @property
     def top(self):
         """The (c, p, e) term with the largest exponent."""
         return self.terms[-1]

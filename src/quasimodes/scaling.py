@@ -52,7 +52,7 @@ class HighEnergyOperator:
 
     def __post_init__(self):
         P = self.potential
-        if any(e != 0 for _, _, e in P.terms):
+        if P.depends_on_h:
             raise UsageError("high-energy families must have no h-dependence")
         c_n, p_n, _ = P.top
         if c_n.real <= 0 or c_n.imag <= 0:

@@ -31,7 +31,7 @@ def report(num, name, ok, detail):
 
 def phi_vanishing_ratio(P, anchor, n):
     phase = jwkb.build_phase(P, anchor, n)
-    phis = jwkb.phi_cascade(phase, P)
+    phis = phase.phis
     scale = max(np.abs(ps.coeffs).max() for ps in phase.psi)
     worst = max(np.abs(phis[j].coeffs).max() for j in range(n + 2))
     return worst / scale

@@ -74,7 +74,7 @@ def test_phi_cascade_vanishes_below_tail():
     for P, anchor in ((IX, linear_anchor()), (IX3, cubic_anchor())):
         for n in (0, 1, 2):
             phase = jwkb.build_phase(P, anchor, n)
-            phis = jwkb.phi_cascade(phase, P)
+            phis = phase.phis
             assert len(phis) == 2 * n + 3
             scale = max(np.abs(ps.coeffs).max() for ps in phase.psi)
             for j in range(n + 2):
@@ -125,7 +125,7 @@ def operator_chain(rhs, n, branch, lowest):
 def test_phi_top_tail_is_minus_dpsi_n_squared():
     n = 1
     phase = jwkb.build_phase(IX3, cubic_anchor(), n, 24)
-    phis = jwkb.phi_cascade(phase, IX3)
+    phis = phase.phis
     rhs = jwkb.eikonal_rhs(IX3, phase.anchor, phase.K)
     dpsi = operator_chain(rhs, n, 1j * phase.anchor.eta, 2 * n + 2)[0]
     ref = -1.0 * (dpsi[n + 1] * dpsi[n + 1])
@@ -143,18 +143,27 @@ def test_phi_top_tail_is_minus_dpsi_n_squared():
 def test_local_series_matches_operator_chain(P, a, eta, n):
     # bit for bit, at the anchor (every phi_j) and at every march centre (tail)
     anchor = make_anchor(P, 0.05, a, eta)
-    pw = jwkb.build_piecewise(P, anchor, n)
-    for seg in pw.segments:
-        rhs = jwkb.eikonal_rhs(P, anchor, pw.K, at=seg.center)
-        branch = seg.dlead.coeffs[0]
-        lowest = 0 if seg.center == 0.0 else n + 2
+    chain = jwkb._march(P, anchor, n)
+    assert chain.centers[chain.origin] == 0.0
+    assert (jwkb.build_piecewise(P, anchor, n).centers == chain.centers).all()
+    K = chain.derivs.shape[-1] - 1
+    for center, seg_derivs, tails, seg_radius in zip(
+        chain.centers, chain.derivs, chain.tails, chain.radii
+    ):
+        rhs = jwkb.eikonal_rhs(P, anchor, K, at=center)
+        branch = seg_derivs[0, 0]
+        lowest = 0 if center == 0.0 else n + 2
         derivs, phis, radius = jwkb._local_series(rhs.coeffs, n, branch, lowest)
         ref_derivs, ref_phis, ref_radius = operator_chain(rhs, n, branch, lowest)
         assert len(derivs) == n + 2 and len(phis) == len(ref_phis)
-        refs = [d.coeffs for d in ref_derivs] + ref_phis
-        for got, ref in zip(list(derivs) + phis, refs):
-            assert got.tobytes() == ref.tobytes()
-        assert radius == ref_radius and radius == seg.radius_est
+        for got, ref in zip(derivs, ref_derivs):
+            assert got.tobytes() == ref.coeffs.tobytes()
+        for got, ref in zip(phis, ref_phis):  # zero above the exact degree
+            assert got[: ref.size].tobytes() == ref.tobytes()
+            assert not got[ref.size :].any()
+        assert seg_derivs.tobytes() == derivs.tobytes()
+        assert tails.tobytes() == phis[-(n + 1) :].tobytes()
+        assert radius == ref_radius and radius == seg_radius
 
 
 def test_piecewise_matches_central_series_near_anchor():
@@ -200,8 +209,8 @@ def test_piecewise_join_midpoint_goes_to_right_segment():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
     joins = 0.5 * (pw.centers[:-1] + pw.centers[1:])
     for k, sj in enumerate(joins):
-        right = pw.segments[k + 1]
-        assert pw.leading_at(sj)[0] == right.lead.eval(sj - pw.centers[k + 1])
+        right = TruncatedSeries(pw.segments[k + 1, 0])  # psi_{-1} of segment k + 1
+        assert pw.leading_at(sj)[0] == right.eval(sj - pw.centers[k + 1])
 
 
 def test_piecewise_arrays_match_scalar_calls():
@@ -370,6 +379,38 @@ def test_sweep_h_slope_increases_with_order():
         assert rs[0] > rs[1] > rs[2]
         slopes.append(slope)
     assert slopes[1] > slopes[0] + 0.5
+
+
+@pytest.mark.parametrize(
+    "P, a, eta, marches",
+    [
+        (IX3, 1.0, 1.0, 1),
+        # the dilated half-line family: V_h carries h, so one march per h
+        (PotentialFamily(((1.0, -2, 2), (1 + 1j, 2, 0)), domain="halfline"),
+         0.62, 0.6, 3),
+    ],
+)
+def test_sweep_h_marches_once_unless_v_carries_h(monkeypatch, P, a, eta, marches):
+    hs = [0.05, 0.025, 0.0125]
+    calls = []
+    local_series = jwkb._local_series
+
+    def counted(*args):
+        calls.append(args)
+        return local_series(*args)
+
+    monkeypatch.setattr(jwkb, "_local_series", counted)
+    certs, _, _ = jwkb.sweep_h(P, a, eta, 1, hs)
+    sweep_calls = len(calls)
+    segments = []
+    for h, cert in zip(hs, certs):
+        ref = jwkb.certify(P, make_anchor(P, h, a, eta), 1, allow_large_h=True)
+        for key in ("r", "delta", "gamma", "panels"):
+            assert getattr(cert, key) == getattr(ref, key)
+        segments.append(len(ref.quasimode.phase.segments))
+    assert sweep_calls == sum(segments[:marches])
+    if P is IX3:
+        assert sweep_calls == 33
 
 
 def test_sweep_h_needs_three_points():
