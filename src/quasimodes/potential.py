@@ -37,6 +37,11 @@ IM_DERIV_TOL = 1e-12
 ANCHOR_RTOL = 1e-12
 
 
+def im_deriv_vanishes(dv):
+    """True when Im V'(a) = ``dv.imag`` counts as zero: the anchor is degenerate."""
+    return abs(dv.imag) <= IM_DERIV_TOL * (1.0 + abs(dv))
+
+
 def _is_nonneg_int(p):
     return p >= 0 and float(p).is_integer()
 
@@ -224,7 +229,7 @@ def make_anchor(P, h, a, eta):
     if eta == 0:
         raise DegenerateAnchorError("eta = 0 is not admissible")
     dv = P.deriv(h, a)
-    if abs(dv.imag) <= IM_DERIV_TOL * (1.0 + abs(dv)):
+    if im_deriv_vanishes(dv):
         raise DegenerateAnchorError(
             f"Im V_h'(a) = {dv.imag:.3e} vanishes at a = {a}"
         )
@@ -239,7 +244,7 @@ def make_anchor(P, h, a, eta):
 def validate_anchor(P, anchor):
     """Re-check all anchor invariants; raises on violation."""
     dv = P.deriv(anchor.h, anchor.a)
-    if abs(dv.imag) <= IM_DERIV_TOL * (1.0 + abs(dv)):
+    if im_deriv_vanishes(dv):
         raise DegenerateAnchorError("Im V_h'(a) vanishes")
     if anchor.eta == 0:
         raise DegenerateAnchorError("eta = 0")

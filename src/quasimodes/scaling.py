@@ -32,6 +32,7 @@ from .potential import (
     HALF_LINE,
     Anchor,
     PotentialFamily,
+    im_deriv_vanishes,
     make_anchor,
     validate_anchor,
 )
@@ -199,8 +200,8 @@ def solve_anchor(P, h, z, a_init=None):
 def region_U(P, h, a_grid, eta_grid):
     """Sample the instability region {eta^2 + V_h(a) : Im V_h'(a) != 0}.
 
-    Returns (z, a, eta) triples in grid order; points with
-    |Im V_h'(a)| <= 1e-12 are dropped, as are eta = 0 entries.
+    Returns (z, a, eta) triples in grid order; points that make_anchor
+    rejects (Im V_h'(a) vanishes, or eta = 0) are dropped.
     """
     a_grid = list(a_grid)
     eta_grid = [e for e in eta_grid if e != 0]
@@ -210,8 +211,7 @@ def region_U(P, h, a_grid, eta_grid):
     for a in a_grid:
         if P.domain == HALF_LINE and a <= 0:
             continue
-        dv = P.deriv(h, a)
-        if abs(dv.imag) <= 1e-12:
+        if im_deriv_vanishes(P.deriv(h, a)):
             continue
         v = P.eval(h, a)
         for eta in eta_grid:

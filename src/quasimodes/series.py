@@ -194,10 +194,9 @@ def derivative_rows(coeffs):
 def horner(table, rows, t):
     """Evaluate, at each t, the polynomial ``table[rows]`` (lowest degree first).
 
-    ``rows`` is one row index, one per point, or a slice of rows to
-    evaluate at a scalar t (``slice(None)`` gives every row's value).
-    Sums from the top degree down, gathering one column per degree and
-    updating the sum in place."""
+    ``rows`` is one row index, or one per point.  Sums from the top
+    degree down, gathering one column per degree and updating the sum in
+    place."""
     t = np.asanyarray(t)
     y = np.zeros(np.broadcast(t, table[rows, 0]).shape, dtype=complex)
     for k in range(table.shape[-1] - 1, -1, -1):

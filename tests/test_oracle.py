@@ -1,15 +1,19 @@
 """Finite-difference oracle: stencil, sigma_min, and validation."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from quasimodes import jwkb, oracle
-from quasimodes.errors import UsageError
+from quasimodes.cli import main
+from quasimodes.errors import AccuracyError, UsageError
 from quasimodes.potential import PotentialFamily, make_anchor
 
 IX3 = PotentialFamily(((1j, 3, 0),))
+QUARTIC = PotentialFamily(((1 + 1j, 4, 0),))
 
 
 def test_discretization_grid():
@@ -65,16 +69,37 @@ def test_smallest_singular_value_shift():
     assert got < 1e-8 * k
 
 
-def test_smallest_singular_value_seed_invariance():
-    P = IX3
-    disc = oracle.Discretization(-2.0, 4.0, 400)
-    T = oracle.assemble(P, 0.1, disc)
-    vals = [
-        oracle.smallest_singular_value(T, 1 + 1j, seed=seed)
-        for seed in range(5)
-    ]
-    ref = vals[0]
-    assert all(abs(v - ref) <= 1e-6 * ref for v in vals)
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_smallest_singular_value_matches_dense_svd(n):
+    # a high-energy quartic whose two smallest singular values are 0.3%
+    # apart (0.7825, 0.7846 at n = 1000): a hard case for a power method
+    T = oracle.assemble(QUARTIC, 1.0, oracle.Discretization(-6.0, 6.0, n))
+    z = 100.0 * cmath.exp(1j * math.pi / 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracle.smallest_singular_value(T, z)
+        again = oracle.smallest_singular_value(T, z)
+    dense = np.diag(T.diag - z) + np.diag(T.sup, 1) + np.diag(T.sub, -1)
+    ref = np.linalg.svd(dense, compute_uv=False)[-1]
+    assert got == pytest.approx(ref, rel=1e-8)
+    assert again == got
+
+
+def test_lanczos_failure_is_an_accuracy_error(monkeypatch, tmp_path):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    T = oracle.assemble(IX3, 0.1, oracle.Discretization(-2.0, 4.0, 400))
+    with pytest.raises(AccuracyError):
+        oracle.smallest_singular_value(T, 1 + 1j)
+    path = tmp_path / "cubic.txt"
+    path.write_text("domain: line\n0 1 3 0\n")
+    code = main(["validate", "--potential", str(path), "--a", "1", "--eta", "1",
+                 "--h", "0.1", "--allow-large-h"])
+    assert code == 4
 
 
 def test_oracle_norm_grows_with_interval():

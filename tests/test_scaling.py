@@ -7,6 +7,7 @@ import pytest
 
 from quasimodes import scaling
 from quasimodes.errors import (
+    DegenerateAnchorError,
     InfeasibleEnergyError,
     NoAnchorError,
     SectorError,
@@ -114,6 +115,12 @@ def test_region_U_drops_degenerate_points():
     assert len(pts) == 1  # a = 0 has Im V' = 0 and is dropped
     with pytest.raises(UsageError):
         scaling.region_U(IX3, 0.05, [1.0], [0.0])
+    # Im V' = 1e-8 is not zero absolutely, but is relative to |V'| = 1e6:
+    # region_U drops exactly the points make_anchor rejects
+    near_real = PotentialFamily(((1e6 + 1e-8j, 1, 0),))
+    assert scaling.region_U(near_real, 0.05, [1.0], [1.0]) == []
+    with pytest.raises(DegenerateAnchorError):
+        make_anchor(near_real, 0.05, 1.0, 1.0)
 
 
 def test_highenergy_lower_bound_sector_enforced():
