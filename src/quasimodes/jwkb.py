@@ -3,8 +3,8 @@
 Pipeline, for a potential family ``P`` and a validated anchor
 ``(a, eta, h, z)``:
 
-1. :func:`_local_series` expands at a centre: the eikonal right-hand
-   side ``V_h(a+c+t) - V_h(a) - eta^2`` in Taylor series, its square
+1. :func:`_local_series` expands at a centre c: the eikonal right-hand
+   side ``V_h(a+c+t) - z`` (:func:`eikonal_rhs`) in Taylor series, its square
    root ``psi_{-1}'`` (branch ``i*eta`` at s = 0), the transport
    corrections ``psi_{m+1}' = rho * (psi_m'' - sum_j psi_j' psi_{m-j}')``
    with ``rho = 1/(2 psi_{-1}')``, and the coefficients ``phi_j`` of
@@ -16,9 +16,10 @@ Pipeline, for a potential family ``P`` and a validated anchor
    interval for the cutoff (the suppression of its commutator needs
    ``gamma * delta^2 >> h``), so :func:`_march` repeats the expansion at
    a chain of centres, each ``STEP_FRACTION`` of the radius estimate from
-   the last.  The constant term of each new right-hand side (``V_h(a) +
-   eta^2`` is computed once per march) is the turning-point test and
-   gives ``psi_{-1}'`` up to sign, the previous ``psi_{-1}'`` row the sign.
+   the last.  The constant term of each new right-hand side
+   ``V_h(a+c+t) - z`` is the turning-point test and gives ``psi_{-1}'``
+   up to sign, the previous ``psi_{-1}'`` row the sign; the march stops
+   before a centre reaches the domain edge ``P.x_min``.
    The march keeps h-free data only (centres, steps, ``psi_m'`` and tail
    ``phi_j`` rows, radii): h enters its equations only through V_h.
    :func:`_fold` builds one (segment, 4, K+1) array of ``psi_{-1}``,
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, DegenerateAnchorError, UsageError
-from .potential import HALF_LINE, Anchor, make_anchor
+from .potential import Anchor, make_anchor
 from .series import TruncatedSeries, derivative_rows, estimate_radius, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
@@ -79,9 +80,10 @@ def default_truncation(n):
 
 
 def eikonal_rhs(P, anchor, K, at=0.0):
-    """Series of V_h(a + at + t) - V_h(a) - eta^2 in the shift t."""
-    rhs = P.taylor_at(anchor.h, anchor.a + at, K)
-    return rhs.shifted_constant(-(P.eval(anchor.h, anchor.a) + anchor.eta**2))
+    """Series of V_h(a + at + t) - z in the shift t."""
+    rhs = P.taylor_at(anchor.h, anchor.a + at, K).coeffs.copy()
+    rhs[0] -= anchor.z
+    return TruncatedSeries(rhs)
 
 
 def _local_series(rhs, n, branch, lowest):
@@ -182,7 +184,6 @@ class _Chain:
 def _march(P, anchor, n, K=None):
     """The :class:`_Chain` from s = 0 each way out to |s| ~ DEFAULT_SPAN."""
     K, derivs, phis, radius = _central_series(P, anchor, n, K)
-    shift = -(P.eval(anchor.h, anchor.a) + anchor.eta**2)
     first = (0.0, 0.0, derivs, phis[n + 2 :], radius)
     sides = []
     for direction in (1.0, -1.0):
@@ -192,22 +193,18 @@ def _march(P, anchor, n, K=None):
             center = center + step
             if direction * center > DEFAULT_SPAN:
                 break
-            if P.domain == HALF_LINE and anchor.a + center <= 1e-12:
+            if anchor.a + center <= P.x_min:
                 break
-            try:
-                with np.errstate(invalid="ignore", over="ignore"):
-                    rhs = P.taylor_at(anchor.h, anchor.a + center, K).coeffs.copy()
-                    rhs[0] += shift
-                    if abs(rhs[0]) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
-                        break  # a real turning point: stop the continuation here
-                    branch = horner(derivs, 0, step)
-                    root = np.sqrt(rhs[0])
-                    branch = root if abs(root - branch) <= abs(root + branch) else -root
-                    derivs, phis, radius = _local_series(rhs, n, branch, n + 2)
-                    if not np.isfinite(derivs).all():
-                        break  # coefficient overflow (e.g. near a singular endpoint)
-            except (UsageError, DegenerateAnchorError):
-                break
+            with np.errstate(invalid="ignore", over="ignore"):
+                rhs = eikonal_rhs(P, anchor, K, center).coeffs
+                if abs(rhs[0]) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
+                    break  # a real turning point: stop the continuation here
+                branch = horner(derivs, 0, step)
+                root = np.sqrt(rhs[0])
+                branch = root if abs(root - branch) <= abs(root + branch) else -root
+                derivs, phis, radius = _local_series(rhs, n, branch, n + 2)
+                if not np.isfinite(derivs).all():
+                    break  # coefficient overflow (e.g. near a singular endpoint)
             side.append((center, step, derivs, phis, radius))
         sides.append(side)
     segments = sides[1][::-1] + [first] + sides[0]
@@ -501,10 +498,13 @@ def _panel_quadrature(P, Q, panels):
     half = 0.5 * (edges[1] - edges[0])
     s = (mid[:, None] + half * nodes[None, :]).ravel()
     w = np.broadcast_to(half * weights[None, :], (panels, PANEL_NODES)).ravel()
-    return tuple(
-        float(np.sum(w * np.abs(part) ** 2))
-        for part in residual_pointwise(P, Q, s)
-    )
+    # exp(-psi) may overflow; residual_ratio turns a non-finite pass into
+    # one AccuracyError, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(
+            float(np.sum(w * np.abs(part) ** 2))
+            for part in residual_pointwise(P, Q, s)
+        )
 
 
 def residual_ratio(P, Q, allow_large_h=False):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, UsageError
-from .potential import HALF_LINE
 
 SSV_TOL = 1e-8
 SSV_SEED = 0
@@ -74,8 +73,8 @@ class TridiagonalOperator:
 def assemble(P, h, disc):
     """Second-order stencil for -h^2 d2/dx2 + V_h on the Dirichlet grid."""
     xs = disc.grid()
-    if P.domain == HALF_LINE and disc.x_lo <= 0:
-        raise UsageError("half-line families need x_lo > 0")
+    if disc.x_lo <= P.x_min:
+        raise UsageError(f"x_lo = {disc.x_lo} is not above the domain edge")
     dx = disc.dx
     k = h * h / (dx * dx)
     n = disc.n_interior
@@ -165,14 +164,14 @@ class ValidationReport:
 
 
 def default_discretization(P, anchor, delta):
-    """Interval/resolution recipe adequate for a given anchor."""
+    """Interval/resolution recipe adequate for a given anchor.
+
+    The interval is cut half a target step above the domain edge, so the
+    grid reaches within one step of it, as :func:`validate` requires."""
     a, h = anchor.a, anchor.h
     half = max(10.0 * math.sqrt(h), min(1.0, delta))
-    x_lo, x_hi = a - half, a + half
-    if P.domain == HALF_LINE:
-        if x_lo <= 0:
-            x_lo = a / 4.0
     dx_target = math.sqrt(h) / 40.0
+    x_lo, x_hi = max(a - half, P.x_min + dx_target / 2.0), a + half
     n = int(math.ceil((x_hi - x_lo) / dx_target)) + 1
     return Discretization(x_lo=x_lo, x_hi=x_hi, n_interior=n)
 
@@ -209,9 +208,7 @@ def validate(cert, P, disc):
     anchor = cert.quasimode.phase.anchor
     a, h = anchor.a, cert.h
     reach = 8.0 * math.sqrt(h)
-    lo_needed = a - reach
-    if P.domain == HALF_LINE:
-        lo_needed = max(lo_needed, disc.dx)
+    lo_needed = max(a - reach, P.x_min + disc.dx)
     if disc.x_lo > lo_needed or disc.x_hi < a + reach:
         raise UsageError(
             f"interval [{disc.x_lo}, {disc.x_hi}] does not cover "

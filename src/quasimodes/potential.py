@@ -4,8 +4,8 @@ A family is a finite list of terms (c_m, p_m, e_m) with strictly
 increasing real exponents p_m and nonnegative h-exponents e_m, so that
 V_h converges to the limit family V_0 as h -> 0.  On the full line every
 p_m must be a nonnegative integer; on the half-line exponents down to
--2 (a centrifugal term) are allowed and everything is evaluated and
-expanded at points a > 0 only.
+-2 (a centrifugal term) are allowed.  Every evaluation checks that its
+points lie above the domain edge ``PotentialFamily.x_min``.
 
 The module also defines the :class:`Anchor`: the data (a, eta, h, z)
 with z = eta^2 + V_h(a), Im V_h'(a) != 0 and sign(eta) = sign(Im V_h'(a)).
@@ -15,6 +15,7 @@ sign is flipped with a recorded warning rather than rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,21 +76,37 @@ class PotentialFamily:
 
     # -- evaluation -------------------------------------------------------
 
-    def _check_point(self, x):
-        if self.domain == HALF_LINE and x <= 0:
+    @property
+    def x_min(self):
+        """The domain edge: points must lie strictly above it."""
+        return 0.0 if self.domain == HALF_LINE else -math.inf
+
+    def _taylor(self, h, x, K):
+        """Coefficients 0 .. K of V_h(x + s) in s, as a list.
+
+        Each (x+s)**p is expanded by the generalized binomial theorem,
+        which stops at degree p when p is a nonnegative integer.
+        """
+        if x <= self.x_min:
             raise DomainError(f"x = {x} outside the half-line domain")
+        out = [0j] * (K + 1)
+        for c, p, e in self.terms:
+            w = c * (h**e if e else 1.0)
+            degree = min(K, int(p)) if _is_nonneg_int(p) else K
+            binom = 1.0
+            for k in range(degree + 1):
+                out[k] += w * binom * complex(x) ** (p - k)
+                binom *= (p - k) / (k + 1)
+        return out
 
     def eval(self, h, x):
         """V_h(x); h = 0 gives the limit family V_0."""
-        self._check_point(x)
-        return sum(
-            c * (h**e if e else 1.0) * complex(x) ** p for c, p, e in self.terms
-        )
+        return self._taylor(h, x, 0)[0]
 
     def eval_many(self, h, xs):
         """Vectorized V_h over an array of points."""
         xs = np.asarray(xs, dtype=float)
-        if self.domain == HALF_LINE and (xs <= 0).any():
+        if (xs <= self.x_min).any():
             raise DomainError("grid leaves the half-line domain")
         xc = xs.astype(complex)
         out = np.zeros(xs.shape, dtype=complex)
@@ -99,46 +116,18 @@ class PotentialFamily:
 
     def deriv(self, h, x):
         """V_h'(x)."""
-        self._check_point(x)
-        if x == 0 and any(p < 1 and p != 0 for _, p, _ in self.terms):
-            raise DomainError("derivative at x = 0 with exponent < 1")
-        return sum(
-            c * (h**e if e else 1.0) * p * complex(x) ** (p - 1)
-            for c, p, e in self.terms
-            if p != 0
-        )
+        return self._taylor(h, x, 1)[1]
 
     def taylor_at(self, h, a, K):
-        """Series of V_h(a + s) in s, truncated at degree K.
-
-        Each (a+s)**p is expanded by the generalized binomial theorem,
-        which requires a > 0 unless p is a nonnegative integer.
-        """
+        """Series of V_h(a + s) in s, truncated at degree K; at or below
+        ``x_min``, fractional/negative powers raise :class:`ExpansionError`."""
         if K < 1:
             raise UsageError("truncation degree must be >= 1")
-        need_positive = any(not _is_nonneg_int(p) for _, p, _ in self.terms)
-        if need_positive and a <= 0:
+        if a <= self.x_min and not all(_is_nonneg_int(p) for _, p, _ in self.terms):
             raise ExpansionError(
                 f"cannot expand fractional/negative powers at a = {a}"
             )
-        if self.domain == HALF_LINE:
-            self._check_point(a)
-        out = np.zeros(K + 1, dtype=complex)
-        for c, p, e in self.terms:
-            w = c * (h**e if e else 1.0)
-            if a == 0:
-                # p is a nonnegative integer here
-                k = int(p)
-                if k <= K:
-                    out[k] += w
-                continue
-            binom = 1.0
-            for k in range(K + 1):
-                if _is_nonneg_int(p) and k > p:
-                    break
-                out[k] += w * binom * complex(a) ** (p - k)
-                binom *= (p - k) / (k + 1)
-        return TruncatedSeries(out)
+        return TruncatedSeries(self._taylor(h, a, K))
 
     @property
     def depends_on_h(self):

@@ -116,10 +116,7 @@ def sector_check(z, c_n):
 def _scan_roots(P, h, target):
     """Roots of Im V_h(a) = target found by sign-change bisection."""
     w = SCAN_HALF_WIDTH
-    if P.domain == HALF_LINE:
-        grid = np.linspace(w / SCAN_POINTS, w, SCAN_POINTS)
-    else:
-        grid = np.linspace(-w, w, SCAN_POINTS)
+    grid = np.linspace(max(-w, P.x_min + w / SCAN_POINTS), w, SCAN_POINTS)
     vals = P.eval_many(h, grid).imag - target
     roots = []
     for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
@@ -161,10 +158,9 @@ def solve_anchor(P, h, z, a_init=None):
             gp = P.deriv(h, a).imag
             if gp == 0:
                 break
-            step = g / gp
-            a_new = a - step
-            if P.domain == HALF_LINE and a_new <= 0:
-                a_new = 0.5 * a
+            a_new = a - g / gp
+            if a_new <= P.x_min:
+                a_new = 0.5 * (a + P.x_min)
             a = a_new
     alternatives = 0
     if root is None:
@@ -209,7 +205,7 @@ def region_U(P, h, a_grid, eta_grid):
         raise UsageError("grids must be nonempty (eta grid excludes 0)")
     out = []
     for a in a_grid:
-        if P.domain == HALF_LINE and a <= 0:
+        if a <= P.x_min:
             continue
         if im_deriv_vanishes(P.deriv(h, a)):
             continue

@@ -7,8 +7,7 @@ polynomial approximation
 
 in a local coordinate ``s``.  All arithmetic truncates back to degree K,
 so the degree never grows silently; two operands must share the same K.
-Values are immutable and all operations are pure, which makes them safe
-to share between workers.
+Values are immutable and all operations are pure.
 
 The reciprocal and square root use the standard coefficient recursions
 and fail loudly when the constant term vanishes: for the phase
@@ -85,12 +84,6 @@ class TruncatedSeries:
         return TruncatedSeries(full[: self.K + 1])
 
     __rmul__ = __mul__
-
-    def shifted_constant(self, delta):
-        """Return a copy with ``delta`` added to the constant term."""
-        c = self.coeffs.copy()
-        c[0] += delta
-        return TruncatedSeries(c)
 
     def recip(self):
         """Multiplicative inverse: b with a*b = 1 + O(s**(K+1)).
@@ -195,11 +188,12 @@ def horner(table, rows, t):
     """Evaluate, at each t, the polynomial ``table[rows]`` (lowest degree first).
 
     ``rows`` is one row index, or one per point.  Sums from the top
-    degree down, gathering one column per degree and updating the sum in
-    place."""
+    degree down, gathering one column per degree and updating an array
+    sum in place; a scalar t keeps a numpy scalar sum, which is far
+    cheaper than 0-d array arithmetic."""
     t = np.asanyarray(t)
-    y = np.zeros(np.broadcast(t, table[rows, 0]).shape, dtype=complex)
-    for k in range(table.shape[-1] - 1, -1, -1):
+    y = table[rows, -1] + np.zeros_like(t, dtype=complex)
+    for k in range(table.shape[-1] - 2, -1, -1):
         y *= t
         y += table[rows, k]
     return y[()]

@@ -13,6 +13,7 @@ from quasimodes.cli import main
 CUBIC = "domain: line\n0 1 3 0\n"
 QUARTIC = "domain: line\n1 1 4 0\n"
 REAL = "domain: line\n1 0 2 0\n"
+HALFLINE = "domain: halfline\n1 0 -2 0\n1 1 2 0\n"
 
 
 @pytest.fixture
@@ -224,6 +225,22 @@ def test_import_leaves_scipy_linalg_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_accuracy_error_is_one_line(tmp_path):
+    # exp(-psi) overflows in the quadrature for this anchor at n = 2
+    path = tmp_path / "half.txt"
+    path.write_text(HALFLINE)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasimodes.cli", "quasimode",
+         "--potential", str(path), "--a", "0.62", "--eta", "0.6", "--h", "0.2",
+         "--order", "2", "--allow-large-h"],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error:accuracy: quadrature is not finite"]
 
 
 def test_missing_potential_file(capsys):

@@ -122,6 +122,19 @@ def operator_chain(rhs, n, branch, lowest):
     return derivs, phis, radius if math.isfinite(radius) else 1.0
 
 
+@pytest.mark.parametrize(
+    "P, a, eta", [(IX, 0.0, 1.0), (IX3, 1.0, 1.0), (X4, 1.0, 1.0), (HALF, 0.62, 0.6)]
+)
+def test_eikonal_rhs_subtracts_the_anchor_energy(P, a, eta):
+    # V_h(a) - z = -eta^2 at the anchor; other coefficients are V_h's own
+    anchor = make_anchor(P, 0.05, a, eta)
+    rhs = jwkb.eikonal_rhs(P, anchor, 12).coeffs
+    assert rhs[0] == pytest.approx(-(eta**2), rel=1e-14, abs=1e-14)
+    taylor = P.taylor_at(anchor.h, a, 12).coeffs
+    assert rhs[1:].tobytes() == taylor[1:].tobytes()
+    assert rhs[0] == taylor[0] - anchor.z
+
+
 def test_phi_top_tail_is_minus_dpsi_n_squared():
     n = 1
     phase = jwkb.build_phase(IX3, cubic_anchor(), n, 24)
@@ -352,9 +365,8 @@ def test_nonfinite_quadrature_fails_after_one_pass(monkeypatch):
         return quadrature(*args)
 
     monkeypatch.setattr(jwkb, "_panel_quadrature", counted)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(AccuracyError, match="not finite"):
-            jwkb.residual_ratio(P, Q, allow_large_h=True)
+    with pytest.raises(AccuracyError, match="not finite"):
+        jwkb.residual_ratio(P, Q, allow_large_h=True)
     assert len(calls) == 1
 
 

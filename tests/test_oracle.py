@@ -130,6 +130,16 @@ def test_validate_passes_on_cubic_fixture():
     assert "oracle_norm" in report.to_json()
 
 
+@pytest.mark.parametrize("a, h", [(1.0, 0.0125), (0.62, 0.05), (0.62, 0.0125)])
+def test_default_grid_passes_validate_on_the_half_line(a, h):
+    P = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
+    anchor = make_anchor(P, h, a, 0.6)
+    cert = jwkb.certify(P, anchor, 1, allow_large_h=True)
+    disc = oracle.default_discretization(P, anchor, cert.delta)
+    assert P.x_min < disc.x_lo <= disc.dx
+    assert oracle.validate(cert, P, disc).passed
+
+
 def test_validate_guards():
     anchor = make_anchor(IX3, 0.1, 1.0, 1.0)
     cert = jwkb.certify(IX3, anchor, 0, allow_large_h=True)

@@ -20,6 +20,18 @@ from quasimodes.potential import (
 
 IX3 = PotentialFamily(((1j, 3, 0),))
 IX = PotentialFamily(((1j, 1, 0),))
+HALF = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
+FAMILIES = [
+    IX,
+    IX3,
+    PotentialFamily(((1 + 1j, 4, 0),)),
+    PotentialFamily(((1.0, 0, 2.0), (2 - 1j, 1, 0), (1j, 3, 0.5))),
+    HALF,
+    PotentialFamily(((1.0, -2, 2), (1 + 1j, 2, 0)), domain="halfline"),
+    PotentialFamily(
+        ((0.3j, -1.5, 0), (2.0, 0.5, 1), (1 + 1j, 2, 0)), domain="halfline"
+    ),
+]
 
 
 def test_eval_and_deriv():
@@ -63,6 +75,62 @@ def test_taylor_halfline_centrifugal():
     for s in (-0.2, 0.15):
         ref = P.eval(0.0, a + s)
         assert abs(ts.eval(s) - ref) < 1e-9 * abs(ref)
+
+
+def bits(z):
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+@pytest.mark.parametrize("P", FAMILIES)
+def test_eval_and_deriv_are_the_first_taylor_coefficients(P):
+    rng = np.random.default_rng(7)
+    points = rng.uniform(0.05, 2.0, 20)
+    if P.domain == "line":
+        points = np.concatenate([[0.0], points - 1.0])
+    for h in (0.0, 0.05, 0.7):
+        for x in points:
+            x = float(x)
+            coeffs = P.taylor_at(h, x, 4).coeffs
+            assert bits(P.eval(h, x)) == bits(coeffs[0])
+            assert bits(P.deriv(h, x)) == bits(coeffs[1])
+            # and the same bits as the power law written out term by term
+            value = sum(
+                c * (h**e if e else 1.0) * complex(x) ** p for c, p, e in P.terms
+            )
+            slope = sum(
+                c * (h**e if e else 1.0) * p * complex(x) ** (p - 1)
+                for c, p, e in P.terms
+                if p != 0
+            )
+            assert bits(P.eval(h, x)) == bits(value)
+            assert bits(P.deriv(h, x)) == bits(slope)
+
+
+@pytest.mark.parametrize("P", FAMILIES)
+def test_domain_edge_is_enforced_by_every_evaluator(P):
+    if P.domain == "line":
+        assert P.x_min == -np.inf
+        for x in (-3.0, 0.0, 2.0):
+            P.eval(0.1, x), P.deriv(0.1, x), P.taylor_at(0.1, x, 3)
+        P.eval_many(0.1, np.array([-3.0, 0.0, 2.0]))
+        return
+    assert P.x_min == 0.0
+    for x in (0.0, -0.5):
+        for evaluate in (P.eval, P.deriv):
+            with pytest.raises(DomainError):
+                evaluate(0.1, x)
+        with pytest.raises(DomainError):
+            P.eval_many(0.1, np.array([1.0, x]))
+        with pytest.raises(ExpansionError):  # fractional/negative powers
+            P.taylor_at(0.1, x, 3)
+    P.eval(0.1, 1e-3), P.deriv(0.1, 1e-3), P.taylor_at(0.1, 1e-3, 3)
+    P.eval_many(0.1, np.array([1e-3, 1.0]))
+
+
+def test_halfline_polynomial_taylor_rejects_the_edge():
+    P = PotentialFamily(((1 + 1j, 2, 0),), domain="halfline")
+    with pytest.raises(DomainError):
+        P.taylor_at(0.1, 0.0, 3)
 
 
 def test_taylor_rejects_fractional_power_at_origin():
