@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import jwkb, oracle, scaling
@@ -39,11 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_list(text):
+def _finite(text):
+    """The float ``text`` names; nan and +-inf are refused."""
     try:
-        vals = [float(v) for v in text.split(",") if v.strip()]
+        val = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad numeric list: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad number: {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return val
+
+
+def _float_list(text):
+    vals = [_finite(v) for v in text.split(",") if v.strip()]
     if not vals:
         raise argparse.ArgumentTypeError("empty numeric list")
     return vals
@@ -171,7 +180,7 @@ def cmd_validate(args):
     return 0
 
 
-def _options(sp, names, type=float, required=False):
+def _options(sp, names, type=_finite, required=False):
     for name in names:
         sp.add_argument(f"--{name}", type=type, required=required)
 

@@ -73,7 +73,7 @@ class InfeasibleEnergyError(AnchorError):
 
 
 class NoAnchorError(AnchorError):
-    """Root finding for Im V(a) = Im z failed to converge."""
+    """The anchor scan finds no real root of Im V(a) = Im z."""
 
     code = "no_anchor"
 

@@ -593,8 +593,8 @@ def sweep_h(P, a, eta, n, h_list, K=None):
     log h.  The expected law is r ~ h^(n+2).
     """
     h_list = list(h_list)
-    if len(h_list) < 3:
-        raise UsageError("h sweep needs at least 3 values")
+    if len(set(h_list)) < 3:
+        raise UsageError("h sweep needs at least 3 distinct h values")
     certs, chain = [], None
     for h in h_list:
         anchor = make_anchor(P, h, a, eta)

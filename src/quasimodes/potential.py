@@ -139,13 +139,6 @@ class PotentialFamily:
         """The (c, p, e) term with the largest exponent."""
         return self.terms[-1]
 
-    def limit_family(self):
-        """The h -> 0 family: terms with e_m = 0 only."""
-        kept = tuple(t for t in self.terms if t[2] == 0)
-        if not kept:
-            raise UsageError("family vanishes in the h -> 0 limit")
-        return PotentialFamily(kept, self.domain)
-
 
 # -- text configuration format -------------------------------------------
 
@@ -209,12 +202,13 @@ class Anchor:
 def make_anchor(P, h, a, eta):
     """Build a validated :class:`Anchor` for the family ``P``.
 
-    Raises :class:`DegenerateAnchorError` when Im V_h'(a) vanishes or
-    eta = 0.  When sign(eta) differs from sign(Im V_h'(a)) the sign is
-    flipped and ``"eta_sign_flipped"`` recorded in the warnings.
+    Raises :class:`UsageError` unless a, eta and h > 0 are finite, and
+    :class:`DegenerateAnchorError` when Im V_h'(a) vanishes or eta = 0.
+    When sign(eta) differs from sign(Im V_h'(a)) the sign is flipped and
+    ``"eta_sign_flipped"`` recorded in the warnings.
     """
-    if h < 0:
-        raise UsageError("h must be >= 0")
+    if not (0 < h < math.inf and math.isfinite(a) and math.isfinite(eta)):
+        raise UsageError(f"need finite a, eta and h > 0, got {a}, {eta}, {h}")
     if eta == 0:
         raise DegenerateAnchorError("eta = 0 is not admissible")
     dv = P.deriv(h, a)

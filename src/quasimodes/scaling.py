@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import jwkb
 from .errors import (
+    DomainError,
     InfeasibleEnergyError,
     NoAnchorError,
     SectorError,
@@ -30,17 +31,13 @@ from .errors import (
 )
 from .potential import (
     HALF_LINE,
-    Anchor,
     PotentialFamily,
     im_deriv_vanishes,
     make_anchor,
     validate_anchor,
 )
 
-NEWTON_MAX_ITER = 100
-NEWTON_TOL = 1e-12
-
-#: half-width of the fallback coarse scan for anchor roots
+#: half-width of the anchor scan around 0, widened by |a_init| for a guess
 SCAN_HALF_WIDTH = 10.0
 SCAN_POINTS = 2000
 
@@ -113,22 +110,21 @@ def sector_check(z, c_n):
 # -- anchor solving -------------------------------------------------------
 
 
-def _scan_roots(P, h, target):
-    """Roots of Im V_h(a) = target found by sign-change bisection."""
-    w = SCAN_HALF_WIDTH
+def _scan_roots(P, h, target, w):
+    """Roots of Im V_h(a) = target in [-w, w] by bisection; a point counts
+    as below the target or not, so a sample on the target is one root."""
     grid = np.linspace(max(-w, P.x_min + w / SCAN_POINTS), w, SCAN_POINTS)
-    vals = P.eval_many(h, grid).imag - target
+    below = P.eval_many(h, grid).imag < target
     roots = []
-    for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
+    for i in np.nonzero(below[:-1] != below[1:])[0]:
         lo, hi = grid[i], grid[i + 1]
-        flo = vals[i]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             fm = P.eval(h, mid).imag - target
             if fm == 0 or hi - lo < 1e-15 * max(1.0, abs(mid)):
                 break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
+            if (fm < 0) == below[i]:
+                lo = mid
             else:
                 hi = mid
         roots.append(0.5 * (lo + hi))
@@ -138,57 +134,33 @@ def _scan_roots(P, h, target):
 def solve_anchor(P, h, z, a_init=None):
     """Find a real anchor point with Im V_h(a) = Im z and build the Anchor.
 
-    Newton iteration from ``a_init`` (tolerance 1e-12, at most 100
-    steps); when that fails, or no initial guess is given, a coarse scan
-    with bisection over the roots is used and the root with the largest
-    |Im V_h'(a)| is kept.  The remaining admissibility conditions are
-    Re z - Re V_h(a) > 0 (fixing eta = sign(Im V_h'(a)) * sqrt(...)) and
-    Im V_h'(a) != 0.
+    One scan of Im V_h at h over [-10, 10], widened by |a_init|, brackets
+    the roots and bisection refines each to the last bits.  The root
+    nearest ``a_init`` is kept, or without a guess the one with the
+    largest |Im V_h'(a)|; ``alternative_roots:k`` counts the others.  The
+    remaining conditions are Re z - Re V_h(a) > 0 (fixing eta =
+    sign(Im V_h'(a)) * sqrt(...)) and Im V_h'(a) != 0.
     """
     z = complex(z)
-    target = z.imag
-    root = None
-    if a_init is not None:
-        a = float(a_init)
-        for _ in range(NEWTON_MAX_ITER):
-            g = P.eval(h, a).imag - target
-            if abs(g) <= NEWTON_TOL:
-                root = a
-                break
-            gp = P.deriv(h, a).imag
-            if gp == 0:
-                break
-            a_new = a - g / gp
-            if a_new <= P.x_min:
-                a_new = 0.5 * (a + P.x_min)
-            a = a_new
-    alternatives = 0
-    if root is None:
-        roots = _scan_roots(P, h, target)
-        if not roots:
-            raise NoAnchorError(
-                f"no real solution of Im V_h(a) = {target} found"
-            )
-        roots.sort(key=lambda a: -abs(P.deriv(h, a).imag))
-        root = roots[0]
-        alternatives = len(roots) - 1
+    if a_init is not None and a_init <= P.x_min:
+        raise DomainError(f"guess a = {a_init} outside the half-line domain")
+    roots = _scan_roots(P, h, z.imag, SCAN_HALF_WIDTH + abs(a_init or 0.0))
+    if not roots:
+        raise NoAnchorError(f"no real solution of Im V_h(a) = {z.imag} found")
+    if a_init is None:
+        root = max(roots, key=lambda a: abs(P.deriv(h, a).imag))
+    else:
+        root = min(roots, key=lambda a: abs(a - a_init))
     re_gap = z.real - P.eval(h, root).real
     if re_gap <= 0:
         raise InfeasibleEnergyError(
             f"Re z - Re V_h(a) = {re_gap:.3e} <= 0 at a = {root:.6g}"
         )
-    dv_im = P.deriv(h, root).imag
-    eta = math.copysign(math.sqrt(re_gap), dv_im if dv_im != 0 else 1.0)
+    eta = math.copysign(math.sqrt(re_gap), P.deriv(h, root).imag)
     anchor = make_anchor(P, h, root, eta)
-    if alternatives:
-        anchor = Anchor(
-            a=anchor.a,
-            eta=anchor.eta,
-            h=anchor.h,
-            z=anchor.z,
-            warnings=anchor.warnings
-            + (f"alternative_roots:{alternatives}",),
-        )
+    if len(roots) > 1:
+        extra = (f"alternative_roots:{len(roots) - 1}",)
+        anchor = replace(anchor, warnings=anchor.warnings + extra)
     validate_anchor(P, anchor)
     return anchor
 
@@ -215,29 +187,23 @@ def region_U(P, h, a_grid, eta_grid):
     return out
 
 
-def highenergy_lower_bound(HE, z, sigma, n_order, K=None, a_init=None):
+def highenergy_lower_bound(HE, z, sigma, n_order, K=None):
     """Certified lower bound on ||(H - sigma z)^-1|| via rescaling.
 
-    Requires z in the sector 0 < arg z < arg c_n and sigma >= 1.  The
-    returned certificate records the high-energy point sigma*z; its
-    lower_bound includes the sigma^-1 transfer factor and r is rescaled
-    so that lower_bound * r = 1 still holds.
+    Requires z in the sector 0 < arg z < arg c_n and a finite sigma >= 1.
+    The anchor is :func:`solve_anchor`'s scan of the dilated family at its
+    h, without a guess.  The returned certificate records the high-energy
+    point sigma*z; its lower_bound includes the sigma^-1 transfer factor
+    and r is rescaled so that lower_bound * r = 1 still holds.
     """
     if not sector_check(z, HE.c_n):
         raise SectorError(
             f"arg z = {cmath.phase(z):.6g} outside (0, {cmath.phase(HE.c_n):.6g})"
         )
-    if sigma < 1:
-        raise UsageError("sigma must be >= 1")
+    if not 1 <= sigma < math.inf:
+        raise UsageError(f"sigma must be finite and >= 1, got {sigma}")
     smap = to_semiclassical(HE, sigma)
-    if a_init is None:
-        limit = smap.family.limit_family()
-        roots = _scan_roots(limit, 0.0, complex(z).imag)
-        if not roots:
-            raise NoAnchorError("no h = 0 anchor root for the limit family")
-        roots.sort(key=lambda a: -abs(limit.deriv(0.0, a).imag))
-        a_init = roots[0]
-    anchor = solve_anchor(smap.family, smap.h, z, a_init=a_init)
+    anchor = solve_anchor(smap.family, smap.h, z)
     cert = jwkb.certify(
         smap.family, anchor, n_order, K, allow_large_h=True
     )

@@ -217,6 +217,33 @@ def test_usage_error_is_one_line(capsys, cubic_file, tmp_path, command, options,
     assert lines[0].startswith("error:usage:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quasimode", "--a", "1", "--eta", "1", "--h", "0"],
+        ["sweep-h", "--a", "1", "--eta", "1", "--h-list", "0.1,0.05,0"],
+        ["validate", "--a", "1", "--eta", "1", "--h", "0"],
+        ["quasimode", "--a", "1", "--eta", "1", "--h", "nan"],
+        ["quasimode", "--a", "nan", "--eta", "1", "--h", "0.1"],
+        ["quasimode", "--a", "1", "--eta", "nan", "--h", "0.1"],
+        ["quasimode", "--z-re", "nan", "--z-im", "1", "--h", "0.1"],
+        ["quasimode", "--a", "1", "--eta", "-inf", "--h", "0.1"],
+        ["sweep-h", "--a", "1", "--eta", "1", "--h-list", "0.1,0.1,0.1"],
+        ["high-energy", "--z-re", "0.92", "--z-im", "0.38", "--sigma-list", "nan"],
+        ["high-energy", "--z-re", "0.92", "--z-im", "0.38", "--sigma-list", "inf"],
+    ],
+    ids=["h-zero", "h-list-zero", "validate-h-zero", "h-nan", "a-nan", "eta-nan",
+         "z-nan", "eta-inf", "h-list-repeated", "sigma-nan", "sigma-inf"],
+)
+def test_bad_number_is_one_usage_line(capsys, tmp_path, argv):
+    path = tmp_path / "family.txt"
+    path.write_text(QUARTIC if argv[0] == "high-energy" else CUBIC)
+    code, out, err = run(capsys, *argv, "--potential", str(path))
+    lines = err.splitlines()
+    assert code == 2 and out == "" and len(lines) == 1
+    assert lines[0].startswith("error:usage:")
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
     code = "import sys, quasimodes.cli; print('scipy.linalg' in sys.modules)"

@@ -428,3 +428,10 @@ def test_sweep_h_marches_once_unless_v_carries_h(monkeypatch, P, a, eta, marches
 def test_sweep_h_needs_three_points():
     with pytest.raises(UsageError):
         jwkb.sweep_h(IX, 0.0, 1.0, 0, [0.1, 0.05])
+
+
+def test_sweep_h_needs_three_distinct_points():
+    # a slope through one repeated h is a rank-deficient fit
+    for hs in ([0.1, 0.1, 0.1], [0.1, 0.05, 0.1, 0.05]):
+        with pytest.raises(UsageError, match="distinct"):
+            jwkb.sweep_h(IX, 0.0, 1.0, 0, hs)

@@ -157,14 +157,6 @@ def test_domain_validation():
         P.eval_many(0.0, np.array([0.5, -0.5]))
 
 
-def test_limit_family():
-    P = PotentialFamily(((1.0, 0, 2.0), (1j, 3, 0)))
-    L = P.limit_family()
-    assert L.terms == ((1j, 3.0, 0.0),)
-    with pytest.raises(UsageError):
-        PotentialFamily(((1.0, 1, 1.0),)).limit_family()
-
-
 def test_parse_format_roundtrip():
     P = PotentialFamily(
         ((0.123456789012345 + 1j * np.pi, 2, 0.5), (1j, 3, 0)),
@@ -219,6 +211,17 @@ def test_anchor_rejects_degenerate():
         make_anchor(IX3, 0.05, 1.0, 0.0)
     with pytest.raises(DegenerateAnchorError):
         make_anchor(IX3, 0.05, 0.0, 1.0)  # Im V'(0) = 0 for i x^3
+
+
+@pytest.mark.parametrize(
+    "h, a, eta",
+    [(0.0, 1.0, 1.0), (-0.1, 1.0, 1.0), (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0),
+     (0.05, np.nan, 1.0), (0.05, np.inf, 1.0), (0.05, 1.0, np.nan),
+     (0.05, 1.0, -np.inf)],
+)
+def test_make_anchor_needs_finite_values_and_positive_h(h, a, eta):
+    with pytest.raises(UsageError):
+        make_anchor(IX3, h, a, eta)
 
 
 def test_validate_anchor_rejects_tampered_energy():

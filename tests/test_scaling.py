@@ -1,6 +1,7 @@
 """High-energy rescaling, anchor solving, and the instability region."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from quasimodes import scaling
 from quasimodes.errors import (
     DegenerateAnchorError,
+    DomainError,
     InfeasibleEnergyError,
     NoAnchorError,
     SectorError,
@@ -16,7 +18,9 @@ from quasimodes.errors import (
 from quasimodes.potential import PotentialFamily, make_anchor
 
 QUARTIC = PotentialFamily(((1 + 1j, 4, 0),))
+IX = PotentialFamily(((1j, 1, 0),))
 IX3 = PotentialFamily(((1j, 3, 0),))
+HALF = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
 
 
 def test_highenergy_operator_validation():
@@ -76,6 +80,36 @@ def test_solve_anchor_scan_without_guess():
     assert anchor.a == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("guess", [0.9, -0.9])
+def test_solve_anchor_guess_picks_the_root_of_its_sign(guess):
+    # Im V = x^4 = 0.5 has the mirror roots +-0.5^(1/4)
+    anchor = scaling.solve_anchor(QUARTIC, 0.05, 2 + 0.5j, a_init=guess)
+    assert anchor.a == pytest.approx(math.copysign(0.5**0.25, guess), rel=1e-12)
+    assert "alternative_roots:1" in anchor.warnings
+
+
+def test_solve_anchor_guess_widens_the_scan():
+    # Im V = x^3 = 1728 at a = 12, outside the +-10 window without a guess
+    with pytest.raises(NoAnchorError):
+        scaling.solve_anchor(IX3, 0.05, 1 + 1728j)
+    anchor = scaling.solve_anchor(IX3, 0.05, 1 + 1728j, a_init=11.5)
+    assert anchor.a == pytest.approx(12.0, rel=1e-12)
+
+
+def test_solve_anchor_guess_outside_domain():
+    with pytest.raises(DomainError):
+        scaling.solve_anchor(HALF, 0.05, 1 + 0.5j, a_init=-0.9)
+
+
+def test_scan_sample_on_the_target_is_one_root():
+    grid = np.linspace(-scaling.SCAN_HALF_WIDTH, scaling.SCAN_HALF_WIDTH,
+                       scaling.SCAN_POINTS)
+    target = grid[1200]
+    roots = scaling._scan_roots(IX, 0.0, target, scaling.SCAN_HALF_WIDTH)
+    assert len(roots) == 1 and roots[0] == pytest.approx(target, rel=1e-15)
+    assert scaling.solve_anchor(IX, 0.05, 2 + 1j * target).warnings == ()
+
+
 def test_solve_anchor_infeasible_energy():
     with pytest.raises(InfeasibleEnergyError):
         scaling.solve_anchor(IX3, 0.05, complex(-50.0, 1.0))
@@ -129,6 +163,26 @@ def test_highenergy_lower_bound_sector_enforced():
         scaling.highenergy_lower_bound(HE, cmath.exp(-0.1j), 1e2, 0)
     with pytest.raises(UsageError):
         scaling.highenergy_lower_bound(HE, cmath.exp(0.3j), 0.5, 0)
+
+
+@pytest.mark.parametrize("P", [QUARTIC, HALF], ids=["x4", "halfline"])
+def test_highenergy_anchor_is_solve_anchor(P):
+    HE = scaling.HighEnergyOperator(P)
+    z = cmath.exp(1j * cmath.pi / 8)
+    cert = scaling.highenergy_lower_bound(HE, z, 1e2, 0)
+    smap = scaling.to_semiclassical(HE, 1e2)
+    anchor = scaling.solve_anchor(smap.family, smap.h, z)
+    assert cert.diagnostics["anchor_a"] == anchor.a
+    assert cert.diagnostics["anchor_eta"] == anchor.eta
+    # the quartic's mirror root is reported, as solve_anchor reports it
+    assert ("alternative_roots:1" in cert.warnings) == (P is QUARTIC)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_highenergy_lower_bound_needs_finite_sigma(sigma):
+    HE = scaling.HighEnergyOperator(QUARTIC)
+    with pytest.raises(UsageError):
+        scaling.highenergy_lower_bound(HE, cmath.exp(0.3j), sigma, 0)
 
 
 def test_highenergy_lower_bound_transfer():
