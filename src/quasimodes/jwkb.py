@@ -3,25 +3,25 @@
 Pipeline, for a potential family ``P`` and a validated anchor
 ``(a, eta, h, z)``:
 
-1. :func:`_local_series` expands at a centre c: the eikonal right-hand
-   side ``V_h(a+c+t) - z`` (:func:`eikonal_rhs`) in Taylor series, its square
-   root ``psi_{-1}'`` (branch ``i*eta`` at s = 0), the transport
-   corrections ``psi_{m+1}' = rho * (psi_m'' - sum_j psi_j' psi_{m-j}')``
-   with ``rho = 1/(2 psi_{-1}')``, and the coefficients ``phi_j`` of
-   ``Hf - zf = (sum_j h^j phi_j) f``.  :func:`build_phase` is this
-   expansion at s = 0, normalized by ``psi_m(0) = 0``, and the only one
-   that keeps ``phi_0 .. phi_{n+1}``.
-2. :func:`build_piecewise` folds a march.  A central series only
-   converges up to the nearest complex turning point, far too small an
-   interval for the cutoff (the suppression of its commutator needs
-   ``gamma * delta^2 >> h``), so :func:`_march` repeats the expansion at
-   a chain of centres, each ``STEP_FRACTION`` of the radius estimate from
-   the last.  The constant term of each new right-hand side
-   ``V_h(a+c+t) - z`` is the turning-point test and gives ``psi_{-1}'``
-   up to sign, the previous ``psi_{-1}'`` row the sign; the march stops
-   before a centre reaches the domain edge ``P.x_min``.
-   The march keeps h-free data only (centres, steps, ``psi_m'`` and tail
-   ``phi_j`` rows, radii): h enters its equations only through V_h.
+1. :func:`_local_series` expands at a batch of centres c: the eikonal
+   right-hand side ``V_h(a+c+t) - z`` (:func:`eikonal_rhs`) in Taylor
+   series, its square root ``psi_{-1}'`` (branch ``i*eta`` at s = 0), the
+   transport corrections ``psi_{m+1}' = rho * (psi_m'' - sum_j psi_j'
+   psi_{m-j}')`` with ``rho = 1/(2 psi_{-1}')``, and the coefficients
+   ``phi_j`` of ``Hf - zf = (sum_j h^j phi_j) f``.  :func:`build_phase`
+   is this expansion at s = 0 alone, normalized by ``psi_m(0) = 0``.
+2. :func:`build_piecewise` folds a march.  A series converges only up to
+   the nearest branch point of ``psi_{-1}'`` (``P.branch_points``), too
+   short a reach for the cutoff, whose commutator needs ``gamma * delta^2
+   >> h``.  So :func:`_march` places a chain of centres, each
+   ``STEP_FRACTION`` of that distance from the last, then expands them
+   all in one batch with principal roots, each root's sign set by its
+   inward neighbour's ``psi_{-1}'`` row (a cumulative product outward).
+   A side stops past ``DEFAULT_SPAN``, before the domain edge, after
+   ``MAX_SEGMENTS``, past ``SPAN_SHARE`` of the way to the edge (where
+   :func:`select_delta` stops looking, so its reach is the edge), and at
+   a real turning point or a non-finite row.  The march keeps h-free data
+   only: h enters its equations only through V_h.
    :func:`_fold` builds one (segment, 4, K+1) array of ``psi_{-1}``,
    ``psi_{-1}'``, ``sum_m h^m psi_m`` and ``sum_j h^j phi_j``, with
    integration constants summed outward from the anchor, and
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import AccuracyError, DegenerateAnchorError, UsageError
 from .potential import Anchor, make_anchor
-from .series import TruncatedSeries, derivative_rows, estimate_radius, horner
+from .series import TruncatedSeries, derivative_rows, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
 GAMMA_GRID = 4096
@@ -65,8 +65,11 @@ MAX_DOUBLINGS = 8
 #: how far the piecewise phase marches out (local coordinate)
 DEFAULT_SPAN = 6.0
 
-#: fraction of the local radius estimate used as re-expansion step
-STEP_FRACTION = 0.35
+#: re-expansion step, as a fraction of the exact radius of convergence
+STEP_FRACTION = 0.3
+
+#: share of the continuation's reach over which select_delta looks
+SPAN_SHARE = 0.98
 
 MAX_SEGMENTS = 400
 
@@ -80,76 +83,65 @@ def default_truncation(n):
 
 
 def eikonal_rhs(P, anchor, K, at=0.0):
-    """Series of V_h(a + at + t) - z in the shift t."""
-    rhs = P.taylor_at(anchor.h, anchor.a + at, K).coeffs.copy()
-    rhs[0] -= anchor.z
-    return TruncatedSeries(rhs)
+    """Coefficients of V_h(a + at + t) - z in t, one row per point of ``at``."""
+    rhs = P.taylor_at(anchor.h, anchor.a + np.asarray(at, dtype=float), K)
+    rhs[..., 0] -= anchor.z
+    return rhs
 
 
-def _local_series(rhs, n, branch, lowest):
-    """(psi_m' for m = -1..n, phi_j for j = lowest..2n+2, radius) at a centre.
-
-    ``rhs`` holds the coefficients of the eikonal right-hand side at the
-    centre and ``branch`` the value of psi_{-1}' there.  The centre asks
-    for every phi_j (``lowest`` = 0, for :func:`build_phase`); the march
-    only for the tail (``lowest`` = n + 2), since the transport recursion
-    makes the others vanish.  Each transport level consumes one
-    differentiation, so psi_m' is only exact up to degree K - 1 - m and
-    phi_j up to degree K - j; the coefficients above that are truncation
-    noise and are set to 0.  The psi_m' and the phi_j are the rows of two
-    arrays; the radius is the smallest root-test estimate among the
-    right-hand side and the psi_m' (1 when none is finite).
-    """
-    K = rhs.size - 1
-    ks = np.arange(1, K + 1)
-    rows = np.empty((n + 3, K + 1), dtype=complex)  # rhs, psi_{-1}' .. psi_n'
-    rows[0] = rhs
-    rows[1] = TruncatedSeries(rhs).sqrt(branch).coeffs
-    rho = TruncatedSeries(rows[1] * 2.0).recip().coeffs
-    derivs = rows[1:]
-    for m in range(-1, n):
-        source = np.zeros(K + 1, dtype=complex)
-        source[:-1] = derivs[m + 1][1:] * ks  # psi_m''
-        for j in range(0, m + 1):  # pairs j + k = m with j, k >= 0
-            source -= np.convolve(derivs[j + 1], derivs[m - j + 1])[: K + 1]
-        derivs[m + 2] = np.convolve(rho, source)[: K + 1]
-    phis = np.zeros((2 * n + 3 - lowest, K + 1), dtype=complex)
-    for j, acc in enumerate(phis, start=lowest):
-        if -1 <= j - 2 <= n:
-            acc[:-1] += derivs[j - 1][1:] * ks
-        for m in range(-1, n + 1):
-            if -1 <= j - 2 - m <= n:
-                acc -= np.convolve(derivs[m + 1], derivs[j - 1 - m])[: K + 1]
-        if j == 0:
-            acc += rhs
-        acc[max(K - j, 0) + 1 :] = 0.0
-    radius = estimate_radius(rows)
-    return derivs, phis, radius if math.isfinite(radius) else 1.0
+def _products(x, y):
+    """Truncated products of the rows of x and y (x read through windows)."""
+    width = x.shape[-1]
+    padded = np.concatenate([np.zeros_like(x[..., 1:]), x], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)
+    return np.einsum("...km,...m->...k", windows, y[..., ::-1])
 
 
-def _central_series(P, anchor, n, K):
-    """Checked expansion at s = 0: (K, psi_m', phi_j, radius)."""
+def _local_series(P, anchor, n, K, centers, lowest):
+    """(rhs, psi_m' for m = -1..n, phi_j for j = lowest..2n+2) at the centres,
+    the vector axis of every recursion (over degrees, then over orders).
+
+    psi_{-1}' is the principal root of the right-hand side, or ``i*eta`` at
+    the anchor, where f~ must concentrate.  The march asks only for the tail
+    (``lowest`` = n + 2): the transport recursion makes the others vanish.
+    Above degree K - j, phi_j is truncation noise and is set to 0."""
     if n < 0:
         raise UsageError("JWKB order must be >= 0")
-    if K is None:
-        K = default_truncation(n)
-    rhs = eikonal_rhs(P, anchor, K).coeffs
-    derivs, phis, radius = _local_series(rhs, n, 1j * anchor.eta, 0)
-    # concentration requires Re of the s^2 coefficient of psi_{-1}, i.e.
-    # Re psi_{-1}''(0)/2 = Im V'(a)/(4 eta), to be positive
-    if derivs[0][1].real <= 0:
-        raise DegenerateAnchorError(
-            "quadratic phase coefficient has nonpositive real part"
-        )
-    return K, derivs, phis, radius
+    rhs = eikonal_rhs(P, anchor, default_truncation(n) if K is None else K, centers)
+    count, width = rhs.shape
+    ks = np.arange(1, width)
+    derivs = np.zeros((count, n + 2, width), dtype=complex)
+    root, rho = derivs[:, 0], np.zeros((count, width), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        root[:, 0] = np.where(centers == 0.0, 1j * anchor.eta, np.sqrt(rhs[:, 0]))
+        rho[:, 0] = 1.0 / (2.0 * root[:, 0])  # rho = 1/(2 psi_{-1}')
+        for k in ks:
+            conv = np.einsum("si,si->s", root[:, 1:k], root[:, k - 1 : 0 : -1])
+            root[:, k] = (rhs[:, k] - conv) / (2.0 * root[:, 0])
+            conv = np.einsum("si,si->s", root[:, 1 : k + 1], rho[:, k - 1 :: -1])
+            rho[:, k] = -rho[:, 0] * (2.0 * conv)
+        for m in range(-1, n):
+            source = derivative_rows(derivs[:, m + 1])[1]  # psi_m''
+            pairs = _products(derivs[:, 1 : m + 2], derivs[:, m + 1 : 0 : -1])
+            derivs[:, m + 2] = _products(rho, source - pairs.sum(1))  # j + k = m
+        phis = np.zeros((count, 2 * n + 3 - lowest, width), dtype=complex)
+        for j, acc in enumerate(phis.transpose(1, 0, 2), start=lowest):
+            if -1 <= j - 2 <= n:
+                acc[:, :-1] += derivs[:, j - 1, 1:] * ks
+            m = np.arange(max(-1, j - 2 - n), min(n, j - 1) + 1)  # m + k = j - 2
+            acc -= _products(derivs[:, m + 1], derivs[:, j - 1 - m]).sum(1)
+            if j == 0:
+                acc += rhs
+            acc[:, max(width - 1 - j, 0) + 1 :] = 0.0
+    if not (root[centers == 0.0, 1].real > 0).all():  # f~ must concentrate
+        raise DegenerateAnchorError("Re psi_{-1}''(0) = Im V'(a)/(2 eta) <= 0")
+    return rhs, derivs, phis
 
 
 @dataclass
 class PhaseExpansion:
-    """Phases at the anchor: ``psi[0]`` is psi_{-1}, then psi_0 .. psi_n.
-
-    Each psi_m vanishes at s = 0; ``phis`` holds phi_0 .. phi_{2n+2}.
-    """
+    """Phases at the anchor: ``psi[0]`` is psi_{-1}, then psi_0 .. psi_n,
+    each 0 at s = 0; ``phis`` holds phi_0 .. phi_{2n+2}."""
 
     psi: list  # of TruncatedSeries, length n + 2
     phis: list  # of TruncatedSeries, length 2n + 3
@@ -160,7 +152,8 @@ class PhaseExpansion:
 
 def build_phase(P, anchor, n, K=None):
     """Phase expansion psi_{-1} .. psi_n and phi_0 .. phi_{2n+2} at s = 0."""
-    K, derivs, phis, _ = _central_series(P, anchor, n, K)
+    _, (derivs,), (phis,) = _local_series(P, anchor, n, K, np.zeros(1), 0)
+    K = derivs.shape[-1] - 1
     psi = [TruncatedSeries(d).antideriv(0.0) for d in derivs]
     phis = [TruncatedSeries(p[: max(K - j, 0) + 1]) for j, p in enumerate(phis)]
     return PhaseExpansion(psi=psi, phis=phis, n=n, K=K, anchor=anchor)
@@ -174,41 +167,51 @@ class _Chain:
     """The h-free march, one entry per segment, sorted by centre."""
 
     centers: np.ndarray
-    steps: np.ndarray  # from the inward neighbour's centre (0 at the anchor)
     derivs: np.ndarray  # (segment, n + 2, K + 1): psi_{-1}' .. psi_n'
     tails: np.ndarray  # (segment, n + 1, K + 1): phi_{n+2} .. phi_{2n+2}
-    radii: np.ndarray
+    coverage: np.ndarray  # (s_min, s_max) that select_delta may use
     origin: int  # index of the anchor's segment
 
 
 def _march(P, anchor, n, K=None):
-    """The :class:`_Chain` from s = 0 each way out to |s| ~ DEFAULT_SPAN."""
-    K, derivs, phis, radius = _central_series(P, anchor, n, K)
-    first = (0.0, 0.0, derivs, phis[n + 2 :], radius)
+    """The :class:`_Chain` from s = 0 each way (module docstring, step 2)."""
+    a, edge = anchor.a, anchor.a - P.x_min
+    far = SPAN_SHARE * edge  # select_delta looks no further toward the edge
+    points = P.branch_points(anchor.h, anchor.z) - a
     sides = []
     for direction in (1.0, -1.0):
-        side, (center, _, derivs, _, radius) = [], first
-        for _ in range(MAX_SEGMENTS):
-            step = direction * STEP_FRACTION * radius
-            center = center + step
-            if direction * center > DEFAULT_SPAN:
+        side = [0.0]
+        while len(side) <= MAX_SEGMENTS and side[-1] > -far:
+            radius = np.abs(points - side[-1]).min()
+            center = side[-1] + direction * STEP_FRACTION * radius
+            if direction * center > DEFAULT_SPAN or a + center <= P.x_min:
                 break
-            if anchor.a + center <= P.x_min:
-                break
-            with np.errstate(invalid="ignore", over="ignore"):
-                rhs = eikonal_rhs(P, anchor, K, center).coeffs
-                if abs(rhs[0]) < 1e-10 * (1.0 + abs(anchor.eta) ** 2):
-                    break  # a real turning point: stop the continuation here
-                branch = horner(derivs, 0, step)
-                root = np.sqrt(rhs[0])
-                branch = root if abs(root - branch) <= abs(root + branch) else -root
-                derivs, phis, radius = _local_series(rhs, n, branch, n + 2)
-                if not np.isfinite(derivs).all():
-                    break  # coefficient overflow (e.g. near a singular endpoint)
-            side.append((center, step, derivs, phis, radius))
-        sides.append(side)
-    segments = sides[1][::-1] + [first] + sides[0]
-    return _Chain(*map(np.array, zip(*segments)), origin=len(sides[1]))
+            side.append(center)
+        sides.append(side[1:])
+    o = len(sides[1])
+    centers = np.array(sides[1][::-1] + [0.0] + sides[0])
+    rhs, derivs, tails = _local_series(P, anchor, n, K, centers, n + 2)
+    i = np.arange(len(centers))
+    inward = i - np.sign(i - o)  # the anchor's own index at the anchor
+    with np.errstate(invalid="ignore", over="ignore"):
+        root = derivs[:, 0, 0]
+        near = horner(derivs[:, 0], inward, centers - centers[inward])
+        flip = np.where(abs(root - near) <= abs(root + near), 1.0, -1.0)
+        # a real turning point or a non-finite row (near a singularity) ends a side
+        usable = abs(rhs[:, 0]) >= 1e-10 * (1.0 + anchor.eta**2)
+        usable &= np.isfinite(derivs).all(axis=(1, 2))
+        for side in (i[o + 1 :], i[:o][::-1]):
+            flip[side] = np.cumprod(flip[side])
+            usable[side] = np.logical_and.accumulate(usable[side])
+        # with psi_{-1}', psi_m' flips for odd m and phi_j for odd j
+        derivs[:, 0::2] *= flip[:, None, None]
+        tails[:, (n + 1) % 2 :: 2] *= flip[:, None, None]
+    usable[o] = True
+    centers = centers[usable]
+    reach = STEP_FRACTION * np.abs(points - centers[[0, -1], None]).min(axis=1)
+    lo = -edge if centers[0] <= -far else max(centers[0] - reach[0], -edge)
+    return _Chain(centers, derivs[usable], tails[usable],
+                  np.array([lo, centers[-1] + reach[1]]), int(usable[:o].sum()))
 
 
 def _fold(chain, anchor):
@@ -226,16 +229,18 @@ def _fold(chain, anchor):
     k = np.arange(1, width)
     segments[:, 0, 1:] = derivs[:, 0, :-1] / k
     segments[:, 2, 1:] = dphase[:, :-1] / k
-    i = np.arange(count)
-    o = chain.origin
+    i, o = np.arange(count), chain.origin
+    inward = i - np.sign(i - o)
+    steps = chain.centers - chain.centers[inward]
     with np.errstate(invalid="ignore", over="ignore"):
         for row in (0, 2):
-            rise = horner(segments[:, row], i - np.sign(i - o), chain.steps)
+            rise = horner(segments[:, row], inward, steps)
             for side in (i[o + 1 :], i[:o][::-1]):
                 segments[side, row, 0] = np.cumsum(rise[side])
-    ends = chain.centers[[0, -1]] + STEP_FRACTION * chain.radii[[0, -1]] * [-1, 1]
     mags = [float(np.max(np.abs(p))) for p in chain.tails[o]]
-    return PiecewisePhase(segments, chain.centers, n, width - 1, anchor, mags, ends)
+    return PiecewisePhase(
+        segments, chain.centers, n, width - 1, anchor, mags, chain.coverage
+    )
 
 
 @dataclass
@@ -252,7 +257,7 @@ class PiecewisePhase:
     K: int
     anchor: Anchor
     tail_magnitudes: list  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
-    coverage: np.ndarray  # (s_min, s_max) actually reachable by the continuation
+    coverage: np.ndarray  # (s_min, s_max) that select_delta may use
 
     def _eval(self, s, *tables):
         """Evaluate tables (one row per segment) at s, each point on the segment
@@ -379,7 +384,7 @@ def select_delta(pw):
     [-delta, delta].  Returns (delta, gamma, beta).
     """
     lo, hi = pw.coverage
-    span = 0.98 * min(-lo, hi)
+    span = SPAN_SHARE * min(-lo, hi)
     if span <= 0:
         raise DegenerateAnchorError("analytic continuation has no reach")
     half = GAMMA_GRID // 2
@@ -531,10 +536,9 @@ def residual_ratio(P, Q, allow_large_h=False):
         warnings.append("h_above_delta_sq")
 
     panels = max(64, math.ceil(8.0 * Q.delta / math.sqrt(h)))
-    prev = None
-    cur = None
+    prev = cur = None
     for _ in range(MAX_DOUBLINGS + 1):
-        cur = _panel_quadrature(P, Q, panels)
+        prev, cur = cur, _panel_quadrature(P, Q, panels)
         if not all(map(math.isfinite, cur[:2])):
             raise AccuracyError("quadrature is not finite", estimates=(prev, cur))
         if prev is not None:
@@ -544,7 +548,6 @@ def residual_ratio(P, Q, allow_large_h=False):
             )
             if ok:
                 break
-        prev = cur
         panels *= 2
     else:
         raise AccuracyError(

@@ -26,7 +26,6 @@ from .errors import (
     ExpansionError,
     UsageError,
 )
-from .series import TruncatedSeries
 
 FULL_LINE = "line"
 HALF_LINE = "halfline"
@@ -36,6 +35,9 @@ IM_DERIV_TOL = 1e-12
 
 #: relative tolerance for the anchor identity z = eta^2 + V_h(a)
 ANCHOR_RTOL = 1e-12
+
+#: largest q for which branch points take the exponents in (1/q)Z exactly
+MAX_DENOMINATOR = 12
 
 
 def im_deriv_vanishes(dv):
@@ -82,52 +84,65 @@ class PotentialFamily:
         return 0.0 if self.domain == HALF_LINE else -math.inf
 
     def _taylor(self, h, x, K):
-        """Coefficients 0 .. K of V_h(x + s) in s, as a list.
-
-        Each (x+s)**p is expanded by the generalized binomial theorem,
-        which stops at degree p when p is a nonnegative integer.
-        """
-        if x <= self.x_min:
-            raise DomainError(f"x = {x} outside the half-line domain")
-        out = [0j] * (K + 1)
+        """Coefficients 0 .. K of V_h(x + s) in s, one row per point of x, by
+        the generalized binomial theorem (which stops at degree p for integer
+        p >= 0).  Powers have Python's bits: numpy's complex power has them
+        for integer p; a fractional power (x > 0) is taken point by point."""
+        x = np.asarray(x, dtype=float)
+        if (x <= self.x_min).any():
+            raise DomainError(f"x = {x.min()} outside the half-line domain")
+        out = np.zeros(x.shape + (K + 1,), dtype=complex)
+        k = np.arange(K + 1)
         for c, p, e in self.terms:
-            w = c * (h**e if e else 1.0)
             degree = min(K, int(p)) if _is_nonneg_int(p) else K
-            binom = 1.0
-            for k in range(degree + 1):
-                out[k] += w * binom * complex(x) ** (p - k)
-                binom *= (p - k) / (k + 1)
+            q = p - k[: degree + 1]
+            binom = np.cumprod(np.append(1.0, q[:-1] / k[1 : degree + 1]))
+            powers = (x.astype(complex)[..., None] ** q if p.is_integer()
+                      else np.vectorize(pow, otypes=[complex])(x[..., None], q))
+            out[..., : degree + 1] += c * (h**e if e else 1.0) * binom * powers
         return out
 
     def eval(self, h, x):
         """V_h(x); h = 0 gives the limit family V_0."""
-        return self._taylor(h, x, 0)[0]
+        return complex(self._taylor(h, x, 0)[0])
 
     def eval_many(self, h, xs):
         """Vectorized V_h over an array of points."""
-        xs = np.asarray(xs, dtype=float)
-        if (xs <= self.x_min).any():
-            raise DomainError("grid leaves the half-line domain")
-        xc = xs.astype(complex)
-        out = np.zeros(xs.shape, dtype=complex)
-        for c, p, e in self.terms:
-            out += c * (h**e if e else 1.0) * xc**p
-        return out
+        return self._taylor(h, xs, 0)[..., 0]
 
     def deriv(self, h, x):
         """V_h'(x)."""
-        return self._taylor(h, x, 1)[1]
+        return complex(self._taylor(h, x, 1)[1])
 
     def taylor_at(self, h, a, K):
-        """Series of V_h(a + s) in s, truncated at degree K; at or below
-        ``x_min``, fractional/negative powers raise :class:`ExpansionError`."""
+        """Coefficients 0 .. K of V_h(a + s) in s, one row per point of a;
+        at or below ``x_min``, fractional/negative powers raise
+        :class:`ExpansionError`."""
         if K < 1:
             raise UsageError("truncation degree must be >= 1")
-        if a <= self.x_min and not all(_is_nonneg_int(p) for _, p, _ in self.terms):
-            raise ExpansionError(
-                f"cannot expand fractional/negative powers at a = {a}"
-            )
-        return TruncatedSeries(self._taylor(h, a, K))
+        fractional = not all(_is_nonneg_int(p) for _, p, _ in self.terms)
+        if fractional and np.min(a) <= self.x_min:
+            raise ExpansionError(f"cannot expand fractional/negative powers at a = {a}")
+        return self._taylor(h, a, K)
+
+    def branch_points(self, h, z):
+        """Where sqrt(V_h - z) branches: its zeros on the principal sheet and,
+        for a fractional or negative power, 0.  With exponents in (1/q)Z
+        (rounded to it if no q <= ``MAX_DENOMINATOR`` fits), x = y**q makes
+        y**(-lo) (V_h - z) a polynomial; its roots with |arg y| <= pi/q give
+        the zeros."""
+        ps = [p for _, p, _ in self.terms]
+        fits = (q for q in range(1, MAX_DENOMINATOR)
+                if all(abs(q * p - round(q * p)) < 1e-9 for p in ps))
+        q = next(fits, MAX_DENOMINATOR)
+        powers = [round(q * p) for p in ps] + [0]
+        lo = min(powers)
+        poly = np.zeros(max(powers) - lo + 1, dtype=complex)
+        weights = [c * (h**e if e else 1.0) for c, _, e in self.terms] + [-z]
+        np.add.at(poly, np.subtract(powers, lo), weights)
+        y = np.roots(poly[::-1])
+        x = y[np.abs(np.angle(y)) <= math.pi / q] ** q
+        return np.append(x, 0.0) if lo < 0 or q > 1 else x
 
     @property
     def depends_on_h(self):

@@ -86,8 +86,8 @@ class ScalingMap:
 
 def to_semiclassical(HE, sigma):
     """Rescale the high-energy operator at scale sigma."""
-    if sigma <= 0:
-        raise UsageError("sigma must be > 0")
+    if not 0 < sigma < math.inf:
+        raise UsageError(f"sigma must be finite and > 0, got {sigma}")
     p_n = HE.p_n
     u = sigma ** (1.0 / p_n)
     h = u ** (-(p_n + 2.0) / 2.0)
@@ -139,9 +139,12 @@ def solve_anchor(P, h, z, a_init=None):
     nearest ``a_init`` is kept, or without a guess the one with the
     largest |Im V_h'(a)|; ``alternative_roots:k`` counts the others.  The
     remaining conditions are Re z - Re V_h(a) > 0 (fixing eta =
-    sign(Im V_h'(a)) * sqrt(...)) and Im V_h'(a) != 0.
+    sign(Im V_h'(a)) * sqrt(...)) and Im V_h'(a) != 0.  A non-finite z,
+    guess or h, or h <= 0, raises :class:`UsageError`.
     """
     z = complex(z)
+    if not (0 < h < math.inf and cmath.isfinite(z) and math.isfinite(a_init or 0.0)):
+        raise UsageError(f"need finite z, a_init and h > 0, got {z}, {a_init}, {h}")
     if a_init is not None and a_init <= P.x_min:
         raise DomainError(f"guess a = {a_init} outside the half-line domain")
     roots = _scan_roots(P, h, z.imag, SCAN_HALF_WIDTH + abs(a_init or 0.0))

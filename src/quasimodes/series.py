@@ -9,15 +9,12 @@ in a local coordinate ``s``.  All arithmetic truncates back to degree K,
 so the degree never grows silently; two operands must share the same K.
 Values are immutable and all operations are pure.
 
-The reciprocal and square root use the standard coefficient recursions
-and fail loudly when the constant term vanishes: for the phase
-computations this signals a turning point (reciprocal) or a branch point
-(square root), both of which must stay outside the working disc.
+The reciprocal and square root use the standard coefficient recursions,
+the reference for the batched ones of :mod:`jwkb`, and fail loudly when
+the constant term vanishes (a zero of the series at s = 0).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -154,24 +151,6 @@ class TruncatedSeries:
         """Return (value, first derivative, second derivative) at ``s``."""
         table = derivative_rows(self.coeffs)
         return tuple(horner(table, j, s) for j in range(3))
-
-
-def estimate_radius(rows):
-    """Root-test estimate of the convergence radius, smallest over ``rows``.
-
-    Each row of coefficients gives 1 / max |c_k|**(1/k) over the top half
-    of its coefficient range; a row with fewer than 4 nonzero coefficients
-    (or an empty top half) is treated as polynomial-like and gives +inf.
-    This is a heuristic, typically good to a few tens of percent for
-    modest K.
-    """
-    c = np.asarray(rows)
-    lo = max(1, (c.shape[1] - 1) // 2)
-    powers = np.abs(c[:, lo:]) ** (1.0 / np.arange(lo, c.shape[1]))
-    # fmax skips NaN, which the test |c_k| > 0 also leaves out
-    rates = np.fmax.reduce(powers, axis=1, initial=0.0)
-    rate = rates[np.count_nonzero(c, axis=1) >= 4].max(initial=0.0)
-    return 1.0 / rate if rate > 0 else math.inf
 
 
 def derivative_rows(coeffs):

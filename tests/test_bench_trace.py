@@ -29,7 +29,7 @@ def test_tracer_counts_segments_and_quadrature_passes():
         cert = jwkb.certify(IX3, anchor, 1)
     finally:
         tracer.uninstall()
-    assert segments == 33
+    assert segments == 32
     assert tracer.counter("jwkb.segments")[2] == segments
     calls, _, nodes = tracer.counter("jwkb.quad_pass")
     assert calls >= 2

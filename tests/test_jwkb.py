@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quasimodes import jwkb
+from quasimodes import jwkb, scaling
 from quasimodes.errors import AccuracyError, DegenerateAnchorError, UsageError
 from quasimodes.potential import PotentialFamily, make_anchor
 from quasimodes.series import TruncatedSeries
@@ -81,24 +81,35 @@ def test_phi_cascade_vanishes_below_tail():
                 assert np.abs(phis[j].coeffs).max() <= 1e-12 * scale
 
 
-def root_test(series):
-    """Root-test radius of one series, as a per-series method would give it."""
-    c = series.coeffs
-    if np.count_nonzero(c) < 4:
-        return math.inf
-    lo = max(1, (c.size - 1) // 2)
-    mags = np.abs(c[lo:])
-    ks = np.arange(lo, c.size)
-    nz = mags > 0
-    if not nz.any():
-        return math.inf
-    return 1.0 / np.max(mags[nz] ** (1.0 / ks[nz]))
+def phi_chain(derivs, rhs, n, lowest):
+    """phi_j for j = lowest..2n+2 from the psi_m' series by TruncatedSeries
+    operators, each with the coefficientwise sum of its terms' magnitudes,
+    which bounds the round-off of any order of summation."""
+    K = rhs.K
+    size = [np.abs(d.coeffs) for d in derivs]
+    phis, mags = [], []
+    for j in range(lowest, 2 * n + 3):
+        acc = TruncatedSeries(np.zeros(K + 1))
+        mag = np.zeros(K + 1)
+        if -1 <= j - 2 <= n:
+            acc = acc + derivs[j - 1].deriv()
+            mag[:-1] += size[j - 1][1:] * np.arange(1, K + 1)
+        for m in range(-1, n + 1):
+            k = j - 2 - m
+            if -1 <= k <= n:
+                acc = acc - derivs[m + 1] * derivs[k + 1]
+                mag += np.convolve(size[m + 1], size[k + 1])[: K + 1]
+        if j == 0:
+            acc = acc + rhs
+            mag += np.abs(rhs.coeffs)
+        phis.append(acc.coeffs[: max(K - j, 0) + 1])
+        mags.append(mag[: max(K - j, 0) + 1])
+    return phis, mags
 
 
 def operator_chain(rhs, n, branch, lowest):
     """The local expansion built from TruncatedSeries operators only:
-    (psi_m' for m = -1..n, phi_j for j = lowest..2n+2, radius)."""
-    K = rhs.K
+    (psi_m' for m = -1..n, phi_j for j = lowest..2n+2)."""
     derivs = [rhs.sqrt(branch)]
     rho = (2.0 * derivs[0]).recip()
     for m in range(-1, n):
@@ -106,20 +117,7 @@ def operator_chain(rhs, n, branch, lowest):
         for j in range(0, m + 1):
             source = source - derivs[j + 1] * derivs[m - j + 1]
         derivs.append(rho * source)
-    phis = []
-    for j in range(lowest, 2 * n + 3):
-        acc = TruncatedSeries(np.zeros(K + 1))
-        if -1 <= j - 2 <= n:
-            acc = acc + derivs[j - 1].deriv()
-        for m in range(-1, n + 1):
-            k = j - 2 - m
-            if -1 <= k <= n:
-                acc = acc - derivs[m + 1] * derivs[k + 1]
-        if j == 0:
-            acc = acc + rhs
-        phis.append(acc.coeffs[: max(K - j, 0) + 1])
-    radius = min([root_test(rhs)] + [root_test(d) for d in derivs])
-    return derivs, phis, radius if math.isfinite(radius) else 1.0
+    return derivs, phi_chain(derivs, rhs, n, lowest)[0]
 
 
 @pytest.mark.parametrize(
@@ -128,9 +126,9 @@ def operator_chain(rhs, n, branch, lowest):
 def test_eikonal_rhs_subtracts_the_anchor_energy(P, a, eta):
     # V_h(a) - z = -eta^2 at the anchor; other coefficients are V_h's own
     anchor = make_anchor(P, 0.05, a, eta)
-    rhs = jwkb.eikonal_rhs(P, anchor, 12).coeffs
+    rhs = jwkb.eikonal_rhs(P, anchor, 12)
     assert rhs[0] == pytest.approx(-(eta**2), rel=1e-14, abs=1e-14)
-    taylor = P.taylor_at(anchor.h, a, 12).coeffs
+    taylor = P.taylor_at(anchor.h, a, 12)
     assert rhs[1:].tobytes() == taylor[1:].tobytes()
     assert rhs[0] == taylor[0] - anchor.z
 
@@ -139,7 +137,7 @@ def test_phi_top_tail_is_minus_dpsi_n_squared():
     n = 1
     phase = jwkb.build_phase(IX3, cubic_anchor(), n, 24)
     phis = phase.phis
-    rhs = jwkb.eikonal_rhs(IX3, phase.anchor, phase.K)
+    rhs = TruncatedSeries(jwkb.eikonal_rhs(IX3, phase.anchor, phase.K))
     dpsi = operator_chain(rhs, n, 1j * phase.anchor.eta, 2 * n + 2)[0]
     ref = -1.0 * (dpsi[n + 1] * dpsi[n + 1])
     top = phis[2 * n + 2]
@@ -149,34 +147,188 @@ def test_phi_top_tail_is_minus_dpsi_n_squared():
     )
 
 
+def roots_of_v_minus_z(P, h, z):
+    """Zeros of x^(-lo) (V_h - z) for integer exponents, plus the pole x = 0."""
+    powers = [int(p) for _, p, _ in P.terms] + [0]
+    lo = min(powers)
+    poly = np.zeros(max(powers) - lo + 1, dtype=complex)
+    for (c, _, e), k in zip(P.terms, powers):
+        poly[k - lo] += c * h**e
+    poly[-lo] -= z
+    x = np.roots(poly[::-1])
+    return np.append(x, 0.0) if lo < 0 else x
+
+
+#: batched and operator-chain rows agree to this share of a row's largest
+#: coefficient, or of its terms' magnitudes for a phi_j, which cancels
+#: far below them (the batched sums add in another order)
+LOCAL_RTOL = 1e-13
+
+#: a radius is the distance to the nearest reference root to this
+RADIUS_RTOL = 1e-12
+
+
+def assert_rows_close(got, ref, scale=None):
+    for k, (g, r) in enumerate(zip(got, ref)):
+        bound = np.abs(r).max() if scale is None else scale[k]
+        assert (np.abs(g[: r.size] - r) <= LOCAL_RTOL * bound).all()
+        assert not g[r.size :].any()
+
+
 @pytest.mark.parametrize(
     "P, a, eta", [(IX3, 1.0, 1.0), (X4, 1.0, 1.0), (HALF, 0.62, 0.6)]
 )
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_local_series_matches_operator_chain(P, a, eta, n):
-    # bit for bit, at the anchor (every phi_j) and at every march centre (tail)
+    # at every march centre (psi_m' and the tail) and at the anchor (every
+    # phi_j); a phi_j is checked against the chain's own psi_m' rows, since
+    # near a pole it cancels far below the round-off of those rows
     anchor = make_anchor(P, 0.05, a, eta)
     chain = jwkb._march(P, anchor, n)
     assert chain.centers[chain.origin] == 0.0
     assert (jwkb.build_piecewise(P, anchor, n).centers == chain.centers).all()
+    points = roots_of_v_minus_z(P, anchor.h, anchor.z) - a
     K = chain.derivs.shape[-1] - 1
-    for center, seg_derivs, tails, seg_radius in zip(
-        chain.centers, chain.derivs, chain.tails, chain.radii
+    i = np.arange(len(chain.centers))
+    inward = chain.centers[i - np.sign(i - chain.origin)]
+    for center, derivs, tails, start in zip(
+        chain.centers, chain.derivs, chain.tails, inward
     ):
-        rhs = jwkb.eikonal_rhs(P, anchor, K, at=center)
-        branch = seg_derivs[0, 0]
-        lowest = 0 if center == 0.0 else n + 2
-        derivs, phis, radius = jwkb._local_series(rhs.coeffs, n, branch, lowest)
-        ref_derivs, ref_phis, ref_radius = operator_chain(rhs, n, branch, lowest)
-        assert len(derivs) == n + 2 and len(phis) == len(ref_phis)
-        for got, ref in zip(derivs, ref_derivs):
-            assert got.tobytes() == ref.coeffs.tobytes()
-        for got, ref in zip(phis, ref_phis):  # zero above the exact degree
-            assert got[: ref.size].tobytes() == ref.tobytes()
-            assert not got[ref.size :].any()
-        assert seg_derivs.tobytes() == derivs.tobytes()
-        assert tails.tobytes() == phis[-(n + 1) :].tobytes()
-        assert radius == ref_radius and radius == seg_radius
+        rhs = TruncatedSeries(jwkb.eikonal_rhs(P, anchor, K, at=center))
+        ref_derivs, _ = operator_chain(rhs, n, derivs[0, 0], n + 2)
+        assert_rows_close(derivs, [d.coeffs for d in ref_derivs])
+        own = [TruncatedSeries(d) for d in derivs]
+        assert_rows_close(tails, *phi_chain(own, rhs, n, n + 2))
+        if center != 0.0:  # a step is a share of the radius it starts from
+            radius = np.abs(points - start).min()
+            step = abs(center - start)
+            assert step == pytest.approx(jwkb.STEP_FRACTION * radius, rel=RADIUS_RTOL)
+    phase = jwkb.build_phase(P, anchor, n, K)
+    rhs = TruncatedSeries(jwkb.eikonal_rhs(P, anchor, K))
+    ref_derivs, _ = operator_chain(rhs, n, 1j * eta, 0)
+    ref_psi = [d.antideriv(0.0).coeffs for d in ref_derivs]
+    assert_rows_close([p.coeffs for p in phase.psi], ref_psi)
+    assert_rows_close([p.coeffs for p in phase.phis], *phi_chain(ref_derivs, rhs, n, 0))
+
+
+@pytest.mark.parametrize("P", [IX3, X4], ids=["ix3", "x4"])
+def test_segments_do_not_depend_on_order(P):
+    anchor = make_anchor(P, 0.05, 1.0, 1.0)
+    counts = {len(jwkb._march(P, anchor, n).centers) for n in (0, 1, 2)}
+    assert len(counts) == 1
+
+
+def test_march_stops_past_the_span():
+    chain = jwkb._march(IX3, cubic_anchor(), 1)
+    assert (abs(chain.centers) <= jwkb.DEFAULT_SPAN).all()
+    # each end reaches where the next centre would be, beyond the span
+    lo, hi = chain.coverage
+    assert lo < -jwkb.DEFAULT_SPAN and hi > jwkb.DEFAULT_SPAN
+
+
+def test_march_stops_before_the_domain_edge():
+    # nothing branches at x = 0 for this family, so its first step toward
+    # the edge crosses it; the reach stops at the edge, and so does delta
+    P = PotentialFamily(((1 + 1j, 2, 0),), domain="halfline")
+    anchor = make_anchor(P, 0.05, 0.05, 1.0)
+    chain = jwkb._march(P, anchor, 0)
+    assert chain.origin == 0 and chain.coverage[0] == -anchor.a
+    cert = jwkb.certify(P, anchor, 0, allow_large_h=True)
+    assert 0 < cert.delta < anchor.a and 0 < cert.r < math.inf
+
+
+def test_march_stops_at_a_real_turning_point():
+    # V = x + i x^2 with a = -1/2, eta = -1 has V(1/2) = z: a real turning
+    # point at s = 1, which the steps approach geometrically
+    P = PotentialFamily(((1.0, 1, 0), (1j, 2, 0)))
+    anchor = make_anchor(P, 0.05, -0.5, -1.0)
+    chain = jwkb._march(P, anchor, 0)
+    assert len(chain.centers) - chain.origin < jwkb.MAX_SEGMENTS
+    assert chain.centers[-1] < 1.0
+    # the next centre, where the reach ends, is the turning point to 1e-10
+    next_center = anchor.a + chain.coverage[1]
+    assert abs(P.eval(anchor.h, next_center) - anchor.z) < 1e-10 * (1 + anchor.eta**2)
+
+
+def test_march_keeps_each_side_up_to_its_first_nonfinite_row(monkeypatch):
+    anchor = cubic_anchor()
+    full = jwkb._march(IX3, anchor, 1)
+    rhs_at = jwkb.eikonal_rhs
+
+    def overflowing(P, anchor, K, at=0.0):
+        rhs = rhs_at(P, anchor, K, at)
+        rhs[np.asarray(at) > 1.0, K] = np.inf
+        return rhs
+
+    monkeypatch.setattr(jwkb, "eikonal_rhs", overflowing)
+    cut = jwkb._march(IX3, anchor, 1)
+    kept = full.centers <= 1.0
+    assert (cut.centers == full.centers[kept]).all() and not kept.all()
+    assert (cut.derivs == full.derivs[kept]).all()
+    assert cut.coverage[0] == full.coverage[0] and cut.coverage[1] < 1.5
+
+
+@pytest.mark.parametrize("sigma", [1e2, 1e4])
+def test_halfline_march_stays_well_under_the_segment_cap(sigma):
+    # the steps toward the pole at x = 0 shrink geometrically; the side
+    # stops once past SPAN_SHARE of the way, where select_delta stops looking
+    HE = scaling.HighEnergyOperator(HALF)
+    smap = scaling.to_semiclassical(HE, sigma)
+    anchor = scaling.solve_anchor(smap.family, smap.h, np.exp(1j * np.pi / 8))
+    for n in (0, 1, 2):
+        chain = jwkb._march(smap.family, anchor, n)
+        assert len(chain.centers) < jwkb.MAX_SEGMENTS // 4
+        assert chain.centers[0] <= -jwkb.SPAN_SHARE * anchor.a
+        assert chain.coverage[0] == -anchor.a
+
+
+FRACTIONAL = PotentialFamily(
+    ((0.3j, -1.5, 0), (2.0, 0.5, 1), (1 + 1j, 2, 0)), domain="halfline"
+)
+
+
+def principal_v(P, h, x):
+    """(V_h(x), V_h'(x)) at complex x with principal powers."""
+    v = sum(c * h**e * x**p for c, p, e in P.terms)
+    dv = sum(c * h**e * p * x ** (p - 1) for c, p, e in P.terms)
+    return v, dv
+
+
+def test_branch_points_of_a_fractional_family():
+    # the points other than the origin are exactly the roots of V_h - z
+    # that Newton's method finds from starts all over the principal sheet
+    anchor = make_anchor(FRACTIONAL, 0.05, 1.0, 1.0)
+    h, z = anchor.h, anchor.z
+    points = FRACTIONAL.branch_points(h, z)
+    assert (points == 0).sum() == 1
+    roots = points[points != 0]
+    found = []
+    for r in (0.1, 0.3, 1.0, 2.0):
+        for x in r * np.exp(1j * np.linspace(-3.0, 3.0, 13)):
+            for _ in range(80):
+                v, dv = principal_v(FRACTIONAL, h, x)
+                x = x - (v - z) / dv
+            if abs(principal_v(FRACTIONAL, h, x)[0] - z) < 1e-12:
+                found.append(x)
+    found = np.array(found)
+    assert (np.abs(roots[:, None] - found[None, :]).min(axis=1) < 1e-9).all()
+    assert (np.abs(found[:, None] - roots[None, :]).min(axis=1) < 1e-9).all()
+
+
+def test_fractional_family_marches_and_certifies():
+    anchor = make_anchor(FRACTIONAL, 0.05, 1.0, 1.0)
+    points = FRACTIONAL.branch_points(anchor.h, anchor.z) - anchor.a
+    chain = jwkb._march(FRACTIONAL, anchor, 1)
+    i = np.arange(len(chain.centers))
+    start = chain.centers[i - np.sign(i - chain.origin)]
+    radii = np.abs(points[None, :] - start[:, None]).min(axis=1)
+    steps = abs(chain.centers - start)
+    np.testing.assert_allclose(steps[i != chain.origin],
+                               jwkb.STEP_FRACTION * radii[i != chain.origin],
+                               rtol=RADIUS_RTOL)
+    assert np.isfinite(chain.derivs).all()
+    cert = jwkb.certify(FRACTIONAL, anchor, 1, allow_large_h=True)
+    assert 0 < cert.r < math.inf
 
 
 def test_piecewise_matches_central_series_near_anchor():
@@ -370,6 +522,21 @@ def test_nonfinite_quadrature_fails_after_one_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def test_unconverged_quadrature_reports_its_last_two_passes(monkeypatch):
+    Q = jwkb.build_quasimode(IX3, cubic_anchor(), 0)
+    passes = []
+
+    def drifting(P, Q, panels):  # never settles to QUAD_RTOL
+        passes.append((float(panels), 1.0, 0.0))
+        return passes[-1]
+
+    monkeypatch.setattr(jwkb, "_panel_quadrature", drifting)
+    with pytest.raises(AccuracyError, match="did not converge") as err:
+        jwkb.residual_ratio(IX3, Q)
+    assert len(passes) == jwkb.MAX_DOUBLINGS + 1
+    assert err.value.estimates == (passes[-2], passes[-1])
+
+
 def test_order_must_be_nonnegative():
     with pytest.raises(UsageError):
         jwkb.build_phase(IX3, cubic_anchor(), -1)
@@ -405,24 +572,20 @@ def test_sweep_h_slope_increases_with_order():
 def test_sweep_h_marches_once_unless_v_carries_h(monkeypatch, P, a, eta, marches):
     hs = [0.05, 0.025, 0.0125]
     calls = []
-    local_series = jwkb._local_series
+    march = jwkb._march
 
     def counted(*args):
         calls.append(args)
-        return local_series(*args)
+        return march(*args)
 
-    monkeypatch.setattr(jwkb, "_local_series", counted)
+    monkeypatch.setattr(jwkb, "_march", counted)
     certs, _, _ = jwkb.sweep_h(P, a, eta, 1, hs)
-    sweep_calls = len(calls)
-    segments = []
+    assert len(calls) == marches
+    monkeypatch.undo()
     for h, cert in zip(hs, certs):
         ref = jwkb.certify(P, make_anchor(P, h, a, eta), 1, allow_large_h=True)
         for key in ("r", "delta", "gamma", "panels"):
             assert getattr(cert, key) == getattr(ref, key)
-        segments.append(len(ref.quasimode.phase.segments))
-    assert sweep_calls == sum(segments[:marches])
-    if P is IX3:
-        assert sweep_calls == 33
 
 
 def test_sweep_h_needs_three_points():

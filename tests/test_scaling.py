@@ -185,6 +185,20 @@ def test_highenergy_lower_bound_needs_finite_sigma(sigma):
         scaling.highenergy_lower_bound(HE, cmath.exp(0.3j), sigma, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: scaling.solve_anchor(IX3, 0.05, complex(1, math.nan)),
+        lambda: scaling.solve_anchor(IX3, 0.05, 1 + 1j, a_init=math.nan),
+        lambda: scaling.to_semiclassical(scaling.HighEnergyOperator(QUARTIC), math.inf),
+    ],
+    ids=["z", "a_init", "sigma"],
+)
+def test_nonfinite_input_is_a_usage_error(call):
+    with pytest.raises(UsageError):
+        call()
+
+
 def test_highenergy_lower_bound_transfer():
     HE = scaling.HighEnergyOperator(QUARTIC)
     z = cmath.exp(1j * cmath.pi / 8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimodes.errors import BranchPointError, SingularityError, UsageError
-from quasimodes.series import TruncatedSeries, estimate_radius
+from quasimodes.series import TruncatedSeries
 
 
 def geometric(K):
@@ -147,20 +147,6 @@ def test_eval_d2_against_finite_differences():
         for got, ref in zip(a.eval_d2(x), polyval_d2(a.coeffs, x)):
             assert np.shape(got) == np.shape(x)
             assert same_bits(got, ref)
-
-
-def test_radius_estimate_geometric():
-    # coefficients r^{-k} give radius about r
-    r = 0.5
-    K = 40
-    a = TruncatedSeries(r ** -np.arange(K + 1.0))
-    est = estimate_radius(a.coeffs[None, :])
-    assert 0.8 * r < est < 1.25 * r
-
-
-def test_radius_estimate_polynomial_is_infinite():
-    a = TruncatedSeries([1.0, 2.0, 3.0], K=30)
-    assert estimate_radius(a.coeffs[None, :]) == np.inf
 
 
 coeff = st.complex_numbers(
