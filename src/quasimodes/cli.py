@@ -9,14 +9,15 @@ argparse alone knows each option's type, default, choices and whether it
 is required.  Each ``key = value`` line of a ``--config`` file becomes the
 argument ``--key=value``, placed after the subcommand and ahead of the
 flags, so one parse checks both and a flag wins over the file.  Errors,
-argparse's included, print a single machine-parsable line
-``error:<code>: <message>`` and exit with 2 (usage), 3 (infeasible
-anchor) or 4 (numerical accuracy).
+argparse's and a file's that cannot be read or written included, print
+one machine-parsable line ``error:<code>: <message>`` and exit with 2
+(usage), 3 (infeasible anchor) or 4 (numerical accuracy).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -58,19 +59,24 @@ def _float_list(text):
     return vals
 
 
-def _write(path, text):
+def _open(path):
+    """The output stream: stdout for no path or ``-``, else the file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write(path, text):
+    with _open(path) as fh:
+        fh.write(text)
+
+
+def _row(values):
+    return ",".join(FMT % v for v in values) + "\n"
 
 
 def _csv(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(FMT % v for v in row))
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + "".join(map(_row, rows))
 
 
 def _with_config(argv):
@@ -154,18 +160,16 @@ def _grid(lo, hi, count, name):
 
 
 def cmd_high_energy(args):
+    """Writes each row once certified, so a failure keeps the rows before it."""
     HE = scaling.HighEnergyOperator(load_potential(args.potential))
     z = complex(args.z_re, args.z_im)
-    rows = []
-    for sigma in args.sigma_list:
-        cert = scaling.highenergy_lower_bound(HE, z, sigma, args.order, args.trunc)
-        rows.append(
-            (sigma, cert.diagnostics["semiclassical_h"], cert.lower_bound)
-        )
-    _write(
-        args.out,
-        _csv(("sigma", "h", "lower_bound_on_resolvent_at_sigma_z"), rows),
-    )
+    with _open(args.out) as fh:
+        fh.write(_csv(("sigma", "h", "lower_bound_on_resolvent_at_sigma_z"), []))
+        for sigma in args.sigma_list:
+            cert = scaling.highenergy_lower_bound(HE, z, sigma, args.order, args.trunc)
+            h = cert.diagnostics["semiclassical_h"]
+            fh.write(_row((sigma, h, cert.lower_bound)))
+            fh.flush()  # a run stopped by a signal keeps its rows too
     return 0
 
 
@@ -245,14 +249,14 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
-    except FileNotFoundError as exc:
+    except BrokenPipeError:  # an OSError, but not the user's to fix
+        return 1
+    except (OSError, UnicodeDecodeError) as exc:  # a file it cannot read or write
         print(f"error:usage: {exc}", file=sys.stderr)
         return 2
     except QuasimodeError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return exc.exit_status
-    except BrokenPipeError:
-        return 1
 
 
 if __name__ == "__main__":

@@ -17,11 +17,11 @@ Pipeline, for a potential family ``P`` and a validated anchor
    ``STEP_FRACTION`` of that distance from the last, then expands them
    all in one batch with principal roots, each root's sign set by its
    inward neighbour's ``psi_{-1}'`` row (a cumulative product outward).
-   A side stops past ``DEFAULT_SPAN``, before the domain edge, after
-   ``MAX_SEGMENTS``, past ``SPAN_SHARE`` of the way to the edge (where
-   :func:`select_delta` stops looking, so its reach is the edge), and at
-   a real turning point or a non-finite row.  The march keeps h-free data
-   only: h enters its equations only through V_h.
+   A side stops before its first centre past ``SPAN_SHARE`` of its wall,
+   the nearest of ``DEFAULT_SPAN``, the domain edge and a real branch
+   point.  Two safety stops, ``MAX_SEGMENTS`` centres and a non-finite
+   row, cut it short; it then reaches only the first centre it drops.
+   The march keeps h-free data only: h enters its equations only via V_h.
    :func:`_fold` builds one (segment, 4, K+1) array of ``psi_{-1}``,
    ``psi_{-1}'``, ``sum_m h^m psi_m`` and ``sum_j h^j phi_j``, with
    integration constants summed outward from the anchor, and
@@ -68,7 +68,7 @@ DEFAULT_SPAN = 6.0
 #: re-expansion step, as a fraction of the exact radius of convergence
 STEP_FRACTION = 0.3
 
-#: share of the continuation's reach over which select_delta looks
+#: share of each wall before which a side stops and select_delta looks
 SPAN_SHARE = 0.98
 
 MAX_SEGMENTS = 400
@@ -98,7 +98,7 @@ def _products(x, y):
 
 
 def _local_series(P, anchor, n, K, centers, lowest):
-    """(rhs, psi_m' for m = -1..n, phi_j for j = lowest..2n+2) at the centres,
+    """(psi_m' for m = -1..n, phi_j for j = lowest..2n+2) at the centres,
     the vector axis of every recursion (over degrees, then over orders).
 
     psi_{-1}' is the principal root of the right-hand side, or ``i*eta`` at
@@ -135,7 +135,7 @@ def _local_series(P, anchor, n, K, centers, lowest):
             acc[:, max(width - 1 - j, 0) + 1 :] = 0.0
     if not (root[centers == 0.0, 1].real > 0).all():  # f~ must concentrate
         raise DegenerateAnchorError("Re psi_{-1}''(0) = Im V'(a)/(2 eta) <= 0")
-    return rhs, derivs, phis
+    return derivs, phis
 
 
 @dataclass
@@ -152,7 +152,7 @@ class PhaseExpansion:
 
 def build_phase(P, anchor, n, K=None):
     """Phase expansion psi_{-1} .. psi_n and phi_0 .. phi_{2n+2} at s = 0."""
-    _, (derivs,), (phis,) = _local_series(P, anchor, n, K, np.zeros(1), 0)
+    (derivs,), (phis,) = _local_series(P, anchor, n, K, np.zeros(1), 0)
     K = derivs.shape[-1] - 1
     psi = [TruncatedSeries(d).antideriv(0.0) for d in derivs]
     phis = [TruncatedSeries(p[: max(K - j, 0) + 1]) for j, p in enumerate(phis)]
@@ -169,37 +169,36 @@ class _Chain:
     centers: np.ndarray
     derivs: np.ndarray  # (segment, n + 2, K + 1): psi_{-1}' .. psi_n'
     tails: np.ndarray  # (segment, n + 1, K + 1): phi_{n+2} .. phi_{2n+2}
-    coverage: np.ndarray  # (s_min, s_max) that select_delta may use
+    coverage: np.ndarray  # (s_min, s_max): the walls, or a safety stop's cut
     origin: int  # index of the anchor's segment
 
 
 def _march(P, anchor, n, K=None):
     """The :class:`_Chain` from s = 0 each way (module docstring, step 2)."""
-    a, edge = anchor.a, anchor.a - P.x_min
-    far = SPAN_SHARE * edge  # select_delta looks no further toward the edge
-    points = P.branch_points(anchor.h, anchor.z) - a
-    sides = []
-    for direction in (1.0, -1.0):
-        side = [0.0]
-        while len(side) <= MAX_SEGMENTS and side[-1] > -far:
+    x = P.branch_points(anchor.h, anchor.z)
+    points = x - anchor.a
+    real = points[abs(x.imag) <= 1e-12 * (1.0 + abs(x))].real
+    sides, walls = [], []
+    for direction, edge in ((1.0, math.inf), (-1.0, anchor.a - P.x_min)):
+        ahead = direction * real
+        wall = np.min(ahead[ahead > 0], initial=min(DEFAULT_SPAN, edge))
+        side, share = [0.0], SPAN_SHARE * wall
+        while direction * side[-1] <= share and len(side) <= MAX_SEGMENTS + 1:
             radius = np.abs(points - side[-1]).min()
-            center = side[-1] + direction * STEP_FRACTION * radius
-            if direction * center > DEFAULT_SPAN or a + center <= P.x_min:
-                break
-            side.append(center)
-        sides.append(side[1:])
+            side.append(side[-1] + direction * STEP_FRACTION * radius)
+        sides.append(side[1:-1])  # the last centre is past the share or the cap
+        walls.append(direction * wall if direction * side[-1] > share else side[-1])
     o = len(sides[1])
     centers = np.array(sides[1][::-1] + [0.0] + sides[0])
-    rhs, derivs, tails = _local_series(P, anchor, n, K, centers, n + 2)
+    derivs, tails = _local_series(P, anchor, n, K, centers, n + 2)
     i = np.arange(len(centers))
     inward = i - np.sign(i - o)  # the anchor's own index at the anchor
     with np.errstate(invalid="ignore", over="ignore"):
         root = derivs[:, 0, 0]
         near = horner(derivs[:, 0], inward, centers - centers[inward])
         flip = np.where(abs(root - near) <= abs(root + near), 1.0, -1.0)
-        # a real turning point or a non-finite row (near a singularity) ends a side
-        usable = abs(rhs[:, 0]) >= 1e-10 * (1.0 + anchor.eta**2)
-        usable &= np.isfinite(derivs).all(axis=(1, 2))
+        # a non-finite row (near a singularity) ends a side
+        usable = np.isfinite(derivs).all(axis=(1, 2))
         for side in (i[o + 1 :], i[:o][::-1]):
             flip[side] = np.cumprod(flip[side])
             usable[side] = np.logical_and.accumulate(usable[side])
@@ -207,11 +206,11 @@ def _march(P, anchor, n, K=None):
         derivs[:, 0::2] *= flip[:, None, None]
         tails[:, (n + 1) % 2 :: 2] *= flip[:, None, None]
     usable[o] = True
-    centers = centers[usable]
-    reach = STEP_FRACTION * np.abs(points - centers[[0, -1], None]).min(axis=1)
-    lo = -edge if centers[0] <= -far else max(centers[0] - reach[0], -edge)
-    return _Chain(centers, derivs[usable], tails[usable],
-                  np.array([lo, centers[-1] + reach[1]]), int(usable[:o].sum()))
+    cut = centers[~usable]  # a cut side reaches its first dropped centre
+    coverage = np.array([np.max(cut[cut < 0], initial=walls[1]),
+                         np.min(cut[cut > 0], initial=walls[0])])
+    return _Chain(centers[usable], derivs[usable], tails[usable], coverage,
+                  int(usable[:o].sum()))
 
 
 def _fold(chain, anchor):
@@ -257,7 +256,7 @@ class PiecewisePhase:
     K: int
     anchor: Anchor
     tail_magnitudes: list  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
-    coverage: np.ndarray  # (s_min, s_max) that select_delta may use
+    coverage: np.ndarray  # (s_min, s_max): the march's walls or safety cuts
 
     def _eval(self, s, *tables):
         """Evaluate tables (one row per segment) at s, each point on the segment
@@ -373,15 +372,16 @@ class Quasimode:
 def select_delta(pw):
     """Choose the cutoff radius and certify the concentration rate.
 
-    On a ``GAMMA_GRID``-point grid over the reach of the analytic
-    continuation the admissible zone is the largest symmetric interval on
+    The grid has ``GAMMA_GRID`` points over ``SPAN_SHARE`` of the nearer
+    wall: the nearest of ``DEFAULT_SPAN``, the domain edge and a real branch
+    point, or where a safety stop (``MAX_SEGMENTS``, a non-finite row) cut
+    that side.  The admissible zone is the largest symmetric interval on
     which Re psi_{-1}(s) > 0 (so gamma = min Re psi_{-1}/s^2 is positive)
     and |rho| = |1/(2 psi_{-1}')| stays bounded.  Within that zone delta
-    is picked to maximize the smallest value of Re psi_{-1} on the cutoff
-    seam delta/2 <= |s| <= delta, which is what controls the
-    exp(-Re psi_{-1}/h) suppression of the cutoff commutator.  gamma and
-    the bound beta on |rho| are taken from the same samples within
-    [-delta, delta].  Returns (delta, gamma, beta).
+    maximizes the smallest Re psi_{-1} on the cutoff seam delta/2 <= |s| <=
+    delta, which controls the exp(-Re psi_{-1}/h) suppression of the cutoff
+    commutator.  gamma and the bound beta on |rho| come from the same
+    samples within [-delta, delta].  Returns (delta, gamma, beta).
     """
     lo, hi = pw.coverage
     span = SPAN_SHARE * min(-lo, hi)

@@ -155,6 +155,21 @@ def test_high_energy(capsys, tmp_path):
     assert lows[1] > lows[0]
 
 
+def test_high_energy_keeps_rows_before_a_failure(capsys, tmp_path):
+    path = tmp_path / "quartic.txt"
+    path.write_text(QUARTIC)
+    code, out, err = run(
+        capsys, "high-energy", "--potential", str(path),
+        "--z-re", "0.9238795325112867", "--z-im", "0.3826834323650898",
+        "--sigma-list", "1e2,1e3,0.5", "--order", "0",
+    )
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "sigma,h,lower_bound_on_resolvent_at_sigma_z"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e2, 1e3]
+    assert err.splitlines() == ["error:usage: sigma must be finite and >= 1, got 0.5"]
+
+
 def test_validate(capsys, cubic_file):
     code, out, _ = run(
         capsys, "validate", "--potential", cubic_file,
@@ -270,12 +285,22 @@ def test_accuracy_error_is_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error:accuracy: quadrature is not finite"]
 
 
-def test_missing_potential_file(capsys):
-    code, _, err = run(
-        capsys, "quasimode", "--potential", "/nonexistent/pot.txt",
-        "--a", "1", "--eta", "1", "--h", "0.1",
+@pytest.mark.parametrize("case", ["missing", "potential-dir", "config-dir",
+                                  "out-dir", "potential-not-utf8"])
+def test_missing_potential_file(capsys, cubic_file, tmp_path, case):
+    # a file that cannot be read or written is one usage line, not a traceback
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(CUBIC.encode() + b"# caf\xe9\n")
+    potential = {"missing": "/nonexistent/pot.txt", "potential-dir": str(tmp_path),
+                 "potential-not-utf8": str(latin1)}.get(case, cubic_file)
+    extra = {"config-dir": ("--config", str(tmp_path)),
+             "out-dir": ("--out", str(tmp_path))}.get(case, ())
+    code, out, err = run(
+        capsys, "quasimode", "--potential", potential,
+        "--a", "1", "--eta", "1", "--h", "0.1", "--allow-large-h", *extra,
     )
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and out == ""
+    assert err.startswith("error:usage: ") and len(err.splitlines()) == 1
 
 
 def test_degenerate_anchor_exit_code(capsys, tmp_path):

@@ -218,17 +218,29 @@ def test_segments_do_not_depend_on_order(P):
     assert len(counts) == 1
 
 
+def next_center(P, anchor, chain, side):
+    """The centre the march would place after the outermost one of a side
+    (+1 toward larger s, -1 toward smaller)."""
+    points = P.branch_points(anchor.h, anchor.z) - anchor.a
+    last = chain.centers[-1 if side > 0 else 0]
+    return last + side * jwkb.STEP_FRACTION * np.abs(points - last).min()
+
+
 def test_march_stops_past_the_span():
-    chain = jwkb._march(IX3, cubic_anchor(), 1)
-    assert (abs(chain.centers) <= jwkb.DEFAULT_SPAN).all()
-    # each end reaches where the next centre would be, beyond the span
-    lo, hi = chain.coverage
-    assert lo < -jwkb.DEFAULT_SPAN and hi > jwkb.DEFAULT_SPAN
+    # nothing branches on the real axis: both walls are the span, and each
+    # side stops before the first centre past SPAN_SHARE of it
+    anchor = cubic_anchor()
+    chain = jwkb._march(IX3, anchor, 1)
+    assert (abs(chain.centers) <= jwkb.SPAN_SHARE * jwkb.DEFAULT_SPAN).all()
+    for side in (1, -1):
+        assert side * next_center(IX3, anchor, chain, side) > (
+            jwkb.SPAN_SHARE * jwkb.DEFAULT_SPAN)
+    assert tuple(chain.coverage) == (-jwkb.DEFAULT_SPAN, jwkb.DEFAULT_SPAN)
 
 
 def test_march_stops_before_the_domain_edge():
     # nothing branches at x = 0 for this family, so its first step toward
-    # the edge crosses it; the reach stops at the edge, and so does delta
+    # the edge crosses it; the wall is the edge, and delta stays inside it
     P = PotentialFamily(((1 + 1j, 2, 0),), domain="halfline")
     anchor = make_anchor(P, 0.05, 0.05, 1.0)
     chain = jwkb._march(P, anchor, 0)
@@ -239,15 +251,17 @@ def test_march_stops_before_the_domain_edge():
 
 def test_march_stops_at_a_real_turning_point():
     # V = x + i x^2 with a = -1/2, eta = -1 has V(1/2) = z: a real turning
-    # point at s = 1, which the steps approach geometrically
+    # point at s = 1, the right side's wall.  The steps approach it
+    # geometrically and stop before the first centre past SPAN_SHARE of it
     P = PotentialFamily(((1.0, 1, 0), (1j, 2, 0)))
     anchor = make_anchor(P, 0.05, -0.5, -1.0)
     chain = jwkb._march(P, anchor, 0)
-    assert len(chain.centers) - chain.origin < jwkb.MAX_SEGMENTS
-    assert chain.centers[-1] < 1.0
-    # the next centre, where the reach ends, is the turning point to 1e-10
-    next_center = anchor.a + chain.coverage[1]
-    assert abs(P.eval(anchor.h, next_center) - anchor.z) < 1e-10 * (1 + anchor.eta**2)
+    assert len(chain.centers) - chain.origin - 1 <= 12
+    assert chain.centers[-1] <= jwkb.SPAN_SHARE
+    assert next_center(P, anchor, chain, 1) > jwkb.SPAN_SHARE
+    assert chain.coverage[1] == pytest.approx(1.0, rel=1e-12)
+    cert = jwkb.certify(P, anchor, 0)
+    assert cert.delta == pytest.approx(jwkb.SPAN_SHARE, rel=1e-12)
 
 
 def test_march_keeps_each_side_up_to_its_first_nonfinite_row(monkeypatch):
@@ -265,20 +279,35 @@ def test_march_keeps_each_side_up_to_its_first_nonfinite_row(monkeypatch):
     kept = full.centers <= 1.0
     assert (cut.centers == full.centers[kept]).all() and not kept.all()
     assert (cut.derivs == full.derivs[kept]).all()
-    assert cut.coverage[0] == full.coverage[0] and cut.coverage[1] < 1.5
+    assert cut.coverage[0] == full.coverage[0]
+    assert cut.coverage[1] == full.centers[~kept].min()  # the first dropped
+
+
+def test_march_cut_by_the_segment_cap_reaches_its_next_centre(monkeypatch):
+    # a safety stop: the side does not reach its wall, so select_delta may
+    # look only as far as the centre the march would place next
+    anchor = cubic_anchor()
+    monkeypatch.setattr(jwkb, "MAX_SEGMENTS", 3)
+    chain = jwkb._march(IX3, anchor, 1)
+    assert len(chain.centers) == 7
+    assert tuple(chain.coverage) == (next_center(IX3, anchor, chain, -1),
+                                     next_center(IX3, anchor, chain, 1))
+    assert chain.coverage[1] < jwkb.DEFAULT_SPAN
 
 
 @pytest.mark.parametrize("sigma", [1e2, 1e4])
 def test_halfline_march_stays_well_under_the_segment_cap(sigma):
     # the steps toward the pole at x = 0 shrink geometrically; the side
-    # stops once past SPAN_SHARE of the way, where select_delta stops looking
+    # stops before the first centre past SPAN_SHARE of the way to the edge,
+    # where select_delta stops looking
     HE = scaling.HighEnergyOperator(HALF)
     smap = scaling.to_semiclassical(HE, sigma)
     anchor = scaling.solve_anchor(smap.family, smap.h, np.exp(1j * np.pi / 8))
     for n in (0, 1, 2):
         chain = jwkb._march(smap.family, anchor, n)
         assert len(chain.centers) < jwkb.MAX_SEGMENTS // 4
-        assert chain.centers[0] <= -jwkb.SPAN_SHARE * anchor.a
+        assert chain.centers[0] >= -jwkb.SPAN_SHARE * anchor.a
+        assert next_center(smap.family, anchor, chain, -1) < -jwkb.SPAN_SHARE * anchor.a
         assert chain.coverage[0] == -anchor.a
 
 
@@ -329,6 +358,28 @@ def test_fractional_family_marches_and_certifies():
     assert np.isfinite(chain.derivs).all()
     cert = jwkb.certify(FRACTIONAL, anchor, 1, allow_large_h=True)
     assert 0 < cert.r < math.inf
+
+
+@pytest.mark.parametrize(
+    "P, a, eta, r_rtol",
+    [(IX, 0.0, 1.0, 1e-10), (IX3, 1.0, 1.0, 1e-10), (X4, 1.0, 1.0, 1e-10),
+     (PotentialFamily(((1.0, 1, 0), (1j, 2, 0))), -0.5, -1.0, 1e-10),
+     # a branch point 0.0056 off the axis at s = -0.043: the degree-18
+     # series of each step near it moves r by 6.6e-10 (6e-13 at degree 24)
+     (HALF, 0.62, 0.6, 1e-9)],
+    ids=["ix", "ix3", "x4", "x+ix2", "halfline"],
+)
+def test_delta_does_not_depend_on_the_march_steps(monkeypatch, P, a, eta, r_rtol):
+    # the walls, and so select_delta's grid, do not move with the centres
+    anchor = make_anchor(P, 0.025, a, eta)
+    certs = []
+    for fraction in (0.3, 0.25, 0.2):
+        monkeypatch.setattr(jwkb, "STEP_FRACTION", fraction)
+        certs.append(jwkb.certify(P, anchor, 1))
+    first = certs[0]
+    for cert in certs[1:]:
+        assert cert.delta == first.delta and cert.panels == first.panels
+        assert cert.r == pytest.approx(first.r, rel=r_rtol)
 
 
 def test_piecewise_matches_central_series_near_anchor():
