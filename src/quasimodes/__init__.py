@@ -7,7 +7,6 @@ from .errors import (
     BranchPointError,
     DegenerateAnchorError,
     DomainError,
-    ExpansionError,
     InfeasibleEnergyError,
     NoAnchorError,
     QuasimodeError,
@@ -17,9 +16,7 @@ from .errors import (
 )
 from .jwkb import (
     Certificate,
-    PhaseExpansion,
     Quasimode,
-    build_phase,
     build_quasimode,
     certify,
     cutoff_eval,

@@ -103,16 +103,24 @@ def _with_config(argv):
     return argv[:1] + extra + argv[1:]
 
 
+def _given(args, *names):
+    """The set of ``names`` whose options were given."""
+    return {name for name in names if getattr(args, name) is not None}
+
+
 def _certify(args):
-    """(P, anchor, certificate) from --potential and the anchor options."""
+    """(P, anchor, certificate) from --potential and the anchor options:
+    --a and --eta, or --z-re and --z-im with --a as an optional guess."""
+    given = _given(args, "a", "eta", "z_re", "z_im")
+    if given not in ({"a", "eta"}, {"z_re", "z_im"}, {"a", "z_re", "z_im"}):
+        raise UsageError("give either --a and --eta, or --z-re and --z-im "
+                         "with --a as an optional guess")
     P = load_potential(args.potential)
-    if args.a is not None and args.eta is not None:
+    if args.eta is not None:
         anchor = make_anchor(P, args.h, args.a, args.eta)
-    elif args.z_re is not None and args.z_im is not None:
+    else:
         z = complex(args.z_re, args.z_im)
         anchor = scaling.solve_anchor(P, args.h, z, a_init=args.a)
-    else:
-        raise UsageError("give either --a and --eta, or --z-re and --z-im")
     cert = jwkb.certify(
         P, anchor, args.order, args.trunc, allow_large_h=args.allow_large_h
     )
@@ -174,8 +182,11 @@ def cmd_high_energy(args):
 
 
 def cmd_validate(args):
+    grid = _given(args, "x_lo", "x_hi", "grid_n")
+    if len(grid) not in (0, 3):
+        raise UsageError("give all of --x-lo, --x-hi and --grid-n, or none")
     P, anchor, cert = _certify(args)
-    if args.x_lo is not None and args.x_hi is not None and args.grid_n is not None:
+    if grid:
         disc = oracle.Discretization(args.x_lo, args.x_hi, args.grid_n)
     else:
         disc = oracle.default_discretization(P, anchor, cert.delta)

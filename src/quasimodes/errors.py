@@ -27,12 +27,6 @@ class DomainError(UsageError):
     code = "domain"
 
 
-class ExpansionError(UsageError):
-    """Taylor expansion requested at a point where it does not exist."""
-
-    code = "expansion"
-
-
 class SectorError(UsageError):
     """Energy outside the admissible angular sector."""
 

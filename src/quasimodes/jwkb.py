@@ -7,9 +7,9 @@ Pipeline, for a potential family ``P`` and a validated anchor
    right-hand side ``V_h(a+c+t) - z`` (:func:`eikonal_rhs`) in Taylor
    series, its square root ``psi_{-1}'`` (branch ``i*eta`` at s = 0), the
    transport corrections ``psi_{m+1}' = rho * (psi_m'' - sum_j psi_j'
-   psi_{m-j}')`` with ``rho = 1/(2 psi_{-1}')``, and the coefficients
-   ``phi_j`` of ``Hf - zf = (sum_j h^j phi_j) f``.  :func:`build_phase`
-   is this expansion at s = 0 alone, normalized by ``psi_m(0) = 0``.
+   psi_{m-j}')`` with ``rho = 1/(2 psi_{-1}')``, and the tail
+   ``phi_{n+2} .. phi_{2n+2}`` of ``Hf - zf = (sum_j h^j phi_j) f``.
+   The anchor's own expansion is the chain's ``origin`` segment (step 2).
 2. :func:`build_piecewise` folds a march.  A series converges only up to
    the nearest branch point of ``psi_{-1}'`` (``P.branch_points``), too
    short a reach for the cutoff, whose commutator needs ``gamma * delta^2
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import AccuracyError, DegenerateAnchorError, UsageError
 from .potential import Anchor, make_anchor
-from .series import TruncatedSeries, derivative_rows, horner
+from .series import derivative_rows, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
 GAMMA_GRID = 4096
@@ -97,14 +97,14 @@ def _products(x, y):
     return np.einsum("...km,...m->...k", windows, y[..., ::-1])
 
 
-def _local_series(P, anchor, n, K, centers, lowest):
-    """(psi_m' for m = -1..n, phi_j for j = lowest..2n+2) at the centres,
+def _local_series(P, anchor, n, K, centers):
+    """(psi_m' for m = -1..n, phi_j for j = n+2..2n+2) at the centres,
     the vector axis of every recursion (over degrees, then over orders).
 
     psi_{-1}' is the principal root of the right-hand side, or ``i*eta`` at
-    the anchor, where f~ must concentrate.  The march asks only for the tail
-    (``lowest`` = n + 2): the transport recursion makes the others vanish.
-    Above degree K - j, phi_j is truncation noise and is set to 0."""
+    the anchor, where f~ must concentrate.  Only the tail of the phi_j is
+    built: the transport recursion makes phi_0 .. phi_{n+1} vanish.  Above
+    degree K - j, phi_j is truncation noise and is set to 0."""
     if n < 0:
         raise UsageError("JWKB order must be >= 0")
     rhs = eikonal_rhs(P, anchor, default_truncation(n) if K is None else K, centers)
@@ -124,39 +124,15 @@ def _local_series(P, anchor, n, K, centers, lowest):
             source = derivative_rows(derivs[:, m + 1])[1]  # psi_m''
             pairs = _products(derivs[:, 1 : m + 2], derivs[:, m + 1 : 0 : -1])
             derivs[:, m + 2] = _products(rho, source - pairs.sum(1))  # j + k = m
-        phis = np.zeros((count, 2 * n + 3 - lowest, width), dtype=complex)
-        for j, acc in enumerate(phis.transpose(1, 0, 2), start=lowest):
-            if -1 <= j - 2 <= n:
-                acc[:, :-1] += derivs[:, j - 1, 1:] * ks
-            m = np.arange(max(-1, j - 2 - n), min(n, j - 1) + 1)  # m + k = j - 2
+        tails = np.zeros((count, n + 1, width), dtype=complex)
+        tails[:, 0, :-1] = derivs[:, n + 1, 1:] * ks  # psi_n'' is in phi_{n+2}
+        for j, acc in enumerate(tails.transpose(1, 0, 2), start=n + 2):
+            m = np.arange(j - 2 - n, n + 1)  # m + k = j - 2 with m, k <= n
             acc -= _products(derivs[:, m + 1], derivs[:, j - 1 - m]).sum(1)
-            if j == 0:
-                acc += rhs
             acc[:, max(width - 1 - j, 0) + 1 :] = 0.0
     if not (root[centers == 0.0, 1].real > 0).all():  # f~ must concentrate
         raise DegenerateAnchorError("Re psi_{-1}''(0) = Im V'(a)/(2 eta) <= 0")
-    return derivs, phis
-
-
-@dataclass
-class PhaseExpansion:
-    """Phases at the anchor: ``psi[0]`` is psi_{-1}, then psi_0 .. psi_n,
-    each 0 at s = 0; ``phis`` holds phi_0 .. phi_{2n+2}."""
-
-    psi: list  # of TruncatedSeries, length n + 2
-    phis: list  # of TruncatedSeries, length 2n + 3
-    n: int
-    K: int
-    anchor: Anchor
-
-
-def build_phase(P, anchor, n, K=None):
-    """Phase expansion psi_{-1} .. psi_n and phi_0 .. phi_{2n+2} at s = 0."""
-    (derivs,), (phis,) = _local_series(P, anchor, n, K, np.zeros(1), 0)
-    K = derivs.shape[-1] - 1
-    psi = [TruncatedSeries(d).antideriv(0.0) for d in derivs]
-    phis = [TruncatedSeries(p[: max(K - j, 0) + 1]) for j, p in enumerate(phis)]
-    return PhaseExpansion(psi=psi, phis=phis, n=n, K=K, anchor=anchor)
+    return derivs, tails
 
 
 # -- piecewise analytic continuation --------------------------------------
@@ -190,7 +166,7 @@ def _march(P, anchor, n, K=None):
         walls.append(direction * wall if direction * side[-1] > share else side[-1])
     o = len(sides[1])
     centers = np.array(sides[1][::-1] + [0.0] + sides[0])
-    derivs, tails = _local_series(P, anchor, n, K, centers, n + 2)
+    derivs, tails = _local_series(P, anchor, n, K, centers)
     i = np.arange(len(centers))
     inward = i - np.sign(i - o)  # the anchor's own index at the anchor
     with np.errstate(invalid="ignore", over="ignore"):
@@ -237,9 +213,7 @@ def _fold(chain, anchor):
             for side in (i[o + 1 :], i[:o][::-1]):
                 segments[side, row, 0] = np.cumsum(rise[side])
     mags = [float(np.max(np.abs(p))) for p in chain.tails[o]]
-    return PiecewisePhase(
-        segments, chain.centers, n, width - 1, anchor, mags, chain.coverage
-    )
+    return PiecewisePhase(segments, chain.centers, n, anchor, mags, chain.coverage)
 
 
 @dataclass
@@ -253,7 +227,6 @@ class PiecewisePhase:
     segments: np.ndarray  # (segment, 4, K + 1), sorted by center
     centers: np.ndarray
     n: int
-    K: int
     anchor: Anchor
     tail_magnitudes: list  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
     coverage: np.ndarray  # (s_min, s_max): the march's walls or safety cuts

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateAnchorError,
-    DomainError,
-    ExpansionError,
-    UsageError,
-)
+from .errors import DegenerateAnchorError, DomainError, UsageError
 
 FULL_LINE = "line"
 HALF_LINE = "halfline"
@@ -115,14 +110,9 @@ class PotentialFamily:
         return complex(self._taylor(h, x, 1)[1])
 
     def taylor_at(self, h, a, K):
-        """Coefficients 0 .. K of V_h(a + s) in s, one row per point of a;
-        at or below ``x_min``, fractional/negative powers raise
-        :class:`ExpansionError`."""
+        """Coefficients 0 .. K of V_h(a + s) in s, one row per point of a."""
         if K < 1:
             raise UsageError("truncation degree must be >= 1")
-        fractional = not all(_is_nonneg_int(p) for _, p, _ in self.terms)
-        if fractional and np.min(a) <= self.x_min:
-            raise ExpansionError(f"cannot expand fractional/negative powers at a = {a}")
         return self._taylor(h, a, K)
 
     def branch_points(self, h, z):

@@ -164,7 +164,7 @@ def derivative_rows(coeffs):
 
 
 def horner(table, rows, t):
-    """Evaluate, at each t, the polynomial ``table[rows]`` (lowest degree first).
+    """Evaluate, at each t, the polynomial ``table[rows]`` (constant term first).
 
     ``rows`` is one row index, or one per point.  Sums from the top
     degree down, gathering one column per degree and updating an array

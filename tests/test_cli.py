@@ -212,8 +212,15 @@ def test_format_not_written_is_refused(capsys, cubic_file, tmp_path, command, fm
         ("region", {"potential": None, "h": "0.05", "a-min": "0.5",
                     "a-max": "1.5", "eta-min": "-1", "eta-max": "1",
                     "eta-count": "2"}),
+        ("validate", {"potential": None, "a": "1", "eta": "1", "h": "0.05",
+                      "x-lo": "-4", "x-hi": "6"}),
+        ("quasimode", {"potential": None, "eta": "5", "z-re": "1", "z-im": "1",
+                       "h": "0.05"}),
+        ("quasimode", {"potential": None, "a": "1", "eta": "1", "z-re": "1",
+                       "z-im": "1", "h": "0.05"}),
     ],
-    ids=["missing-potential", "bad-float", "missing-a-count"],
+    ids=["missing-potential", "bad-float", "missing-a-count", "partial-grid",
+         "eta-with-z", "a-eta-with-z"],
 )
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_usage_error_is_one_line(capsys, cubic_file, tmp_path, command, options, via):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from chains import anchor_expansion, operator_chain, phi_chain
 
 from quasimodes import jwkb, scaling
 from quasimodes.errors import AccuracyError, DegenerateAnchorError, UsageError
@@ -33,7 +34,7 @@ def cubic_anchor(h=0.05):
 
 def test_eikonal_linear_closed_form():
     # V = ix, a = 0, eta = 1: psi_{-1} = (2/3)(1 - (1 - is)^{3/2})
-    psi = jwkb.build_phase(IX, linear_anchor(), 0, 12).psi[0]
+    psi = anchor_expansion(IX, linear_anchor(), 0, 12)[0][0]
     K = psi.K
     ref = np.array(
         [(2.0 / 3.0) * (-binom(1.5, k) * (-1j) ** k) for k in range(K + 1)]
@@ -45,15 +46,14 @@ def test_eikonal_linear_closed_form():
 def test_eikonal_quadratic_coefficient_positive():
     # Re of the s^2 coefficient is Im V'(a) / (4 eta) > 0
     anchor = cubic_anchor()
-    psi = jwkb.build_phase(IX3, anchor, 0, 10).psi[0]
+    psi = anchor_expansion(IX3, anchor, 0, 10)[0][0]
     assert psi.coeffs[1] == pytest.approx(1j * anchor.eta)
     assert psi.coeffs[2].real == pytest.approx(3.0 / 4.0)  # Im V'(1)/(4 eta)
 
 
 def test_transport_linear_closed_form():
     # psi_0 = (1/4) log(1 - is)
-    phase = jwkb.build_phase(IX, linear_anchor(), 0, 16)
-    got = phase.psi[1].coeffs
+    got = anchor_expansion(IX, linear_anchor(), 0, 16)[0][1].coeffs
     k = np.arange(1, got.size)
     ref = np.concatenate([[0.0], -0.25 * (1j) ** k / k])
     # the transport step consumes one differentiation, so the top
@@ -64,60 +64,19 @@ def test_transport_linear_closed_form():
 def test_phase_truncation_default():
     assert jwkb.default_truncation(0) == 16
     assert jwkb.default_truncation(2) == 20
-    phase = jwkb.build_phase(IX3, cubic_anchor(), 2)
-    assert len(phase.psi) == 4  # psi_{-1} .. psi_2
-    for ps in phase.psi:
-        assert abs(ps.eval(0.0)) == 0.0  # psi_m(0) = 0
+    chain = jwkb._march(IX3, cubic_anchor(), 2)
+    assert chain.derivs.shape[1:] == (4, 21)  # psi_{-1}' .. psi_2', degree 20
+    assert chain.tails.shape[1:] == (3, 21)  # phi_4 .. phi_6
 
 
 def test_phi_cascade_vanishes_below_tail():
     for P, anchor in ((IX, linear_anchor()), (IX3, cubic_anchor())):
         for n in (0, 1, 2):
-            phase = jwkb.build_phase(P, anchor, n)
-            phis = phase.phis
+            psi, phis, _ = anchor_expansion(P, anchor, n)
             assert len(phis) == 2 * n + 3
-            scale = max(np.abs(ps.coeffs).max() for ps in phase.psi)
+            scale = max(np.abs(ps.coeffs).max() for ps in psi)
             for j in range(n + 2):
-                assert np.abs(phis[j].coeffs).max() <= 1e-12 * scale
-
-
-def phi_chain(derivs, rhs, n, lowest):
-    """phi_j for j = lowest..2n+2 from the psi_m' series by TruncatedSeries
-    operators, each with the coefficientwise sum of its terms' magnitudes,
-    which bounds the round-off of any order of summation."""
-    K = rhs.K
-    size = [np.abs(d.coeffs) for d in derivs]
-    phis, mags = [], []
-    for j in range(lowest, 2 * n + 3):
-        acc = TruncatedSeries(np.zeros(K + 1))
-        mag = np.zeros(K + 1)
-        if -1 <= j - 2 <= n:
-            acc = acc + derivs[j - 1].deriv()
-            mag[:-1] += size[j - 1][1:] * np.arange(1, K + 1)
-        for m in range(-1, n + 1):
-            k = j - 2 - m
-            if -1 <= k <= n:
-                acc = acc - derivs[m + 1] * derivs[k + 1]
-                mag += np.convolve(size[m + 1], size[k + 1])[: K + 1]
-        if j == 0:
-            acc = acc + rhs
-            mag += np.abs(rhs.coeffs)
-        phis.append(acc.coeffs[: max(K - j, 0) + 1])
-        mags.append(mag[: max(K - j, 0) + 1])
-    return phis, mags
-
-
-def operator_chain(rhs, n, branch, lowest):
-    """The local expansion built from TruncatedSeries operators only:
-    (psi_m' for m = -1..n, phi_j for j = lowest..2n+2)."""
-    derivs = [rhs.sqrt(branch)]
-    rho = (2.0 * derivs[0]).recip()
-    for m in range(-1, n):
-        source = derivs[m + 1].deriv()
-        for j in range(0, m + 1):
-            source = source - derivs[j + 1] * derivs[m - j + 1]
-        derivs.append(rho * source)
-    return derivs, phi_chain(derivs, rhs, n, lowest)[0]
+                assert np.abs(phis[j]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(
@@ -134,17 +93,18 @@ def test_eikonal_rhs_subtracts_the_anchor_energy(P, a, eta):
 
 
 def test_phi_top_tail_is_minus_dpsi_n_squared():
-    n = 1
-    phase = jwkb.build_phase(IX3, cubic_anchor(), n, 24)
-    phis = phase.phis
-    rhs = TruncatedSeries(jwkb.eikonal_rhs(IX3, phase.anchor, phase.K))
-    dpsi = operator_chain(rhs, n, 1j * phase.anchor.eta, 2 * n + 2)[0]
+    # the chain's tail at s = 0 holds phi_{2n+2} up to degree K - (2n + 2)
+    n, K, anchor = 1, 24, cubic_anchor()
+    chain = jwkb._march(IX3, anchor, n, K)
+    top = chain.tails[chain.origin, n]
+    rhs = TruncatedSeries(jwkb.eikonal_rhs(IX3, anchor, K))
+    dpsi = operator_chain(rhs, n, 1j * anchor.eta)
     ref = -1.0 * (dpsi[n + 1] * dpsi[n + 1])
-    top = phis[2 * n + 2]
-    m = top.K + 1
+    m = K - (2 * n + 2) + 1
     np.testing.assert_allclose(
-        top.coeffs, ref.coeffs[:m], atol=1e-12 * np.abs(ref.coeffs).max()
+        top[:m], ref.coeffs[:m], atol=1e-12 * np.abs(ref.coeffs).max()
     )
+    assert not top[m:].any()
 
 
 def roots_of_v_minus_z(P, h, z):
@@ -180,12 +140,13 @@ def assert_rows_close(got, ref, scale=None):
 )
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_local_series_matches_operator_chain(P, a, eta, n):
-    # at every march centre (psi_m' and the tail) and at the anchor (every
-    # phi_j); a phi_j is checked against the chain's own psi_m' rows, since
-    # near a pole it cancels far below the round-off of those rows
+    # at every march centre, the anchor's included (psi_m' and the tail);
+    # a phi_j is checked against the chain's own psi_m' rows, since near a
+    # pole it cancels far below the round-off of those rows
     anchor = make_anchor(P, 0.05, a, eta)
     chain = jwkb._march(P, anchor, n)
     assert chain.centers[chain.origin] == 0.0
+    assert chain.derivs[chain.origin, 0, 0] == 1j * eta  # the concentrating branch
     assert (jwkb.build_piecewise(P, anchor, n).centers == chain.centers).all()
     points = roots_of_v_minus_z(P, anchor.h, anchor.z) - a
     K = chain.derivs.shape[-1] - 1
@@ -195,7 +156,7 @@ def test_local_series_matches_operator_chain(P, a, eta, n):
         chain.centers, chain.derivs, chain.tails, inward
     ):
         rhs = TruncatedSeries(jwkb.eikonal_rhs(P, anchor, K, at=center))
-        ref_derivs, _ = operator_chain(rhs, n, derivs[0, 0], n + 2)
+        ref_derivs = operator_chain(rhs, n, derivs[0, 0])
         assert_rows_close(derivs, [d.coeffs for d in ref_derivs])
         own = [TruncatedSeries(d) for d in derivs]
         assert_rows_close(tails, *phi_chain(own, rhs, n, n + 2))
@@ -203,12 +164,6 @@ def test_local_series_matches_operator_chain(P, a, eta, n):
             radius = np.abs(points - start).min()
             step = abs(center - start)
             assert step == pytest.approx(jwkb.STEP_FRACTION * radius, rel=RADIUS_RTOL)
-    phase = jwkb.build_phase(P, anchor, n, K)
-    rhs = TruncatedSeries(jwkb.eikonal_rhs(P, anchor, K))
-    ref_derivs, _ = operator_chain(rhs, n, 1j * eta, 0)
-    ref_psi = [d.antideriv(0.0).coeffs for d in ref_derivs]
-    assert_rows_close([p.coeffs for p in phase.psi], ref_psi)
-    assert_rows_close([p.coeffs for p in phase.phis], *phi_chain(ref_derivs, rhs, n, 0))
 
 
 @pytest.mark.parametrize("P", [IX3, X4], ids=["ix3", "x4"])
@@ -384,12 +339,10 @@ def test_delta_does_not_depend_on_the_march_steps(monkeypatch, P, a, eta, r_rtol
 
 def test_piecewise_matches_central_series_near_anchor():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 1)
-    phase = jwkb.build_phase(IX3, cubic_anchor(), 1)
+    psi = anchor_expansion(IX3, cubic_anchor(), 1)[0]
     h = cubic_anchor().h
     for s in (-0.05, 0.02, 0.08):
-        direct = sum(
-            h**m * ps.eval(s) for m, ps in enumerate(phase.psi, start=-1)
-        )
+        direct = sum(h**m * ps.eval(s) for m, ps in enumerate(psi, start=-1))
         v, _, _ = pw.phase_at(s)
         assert abs(v - direct) < 1e-10 * max(1.0, abs(direct))
 
@@ -590,7 +543,7 @@ def test_unconverged_quadrature_reports_its_last_two_passes(monkeypatch):
 
 def test_order_must_be_nonnegative():
     with pytest.raises(UsageError):
-        jwkb.build_phase(IX3, cubic_anchor(), -1)
+        jwkb.build_piecewise(IX3, cubic_anchor(), -1)
 
 
 def test_real_phase_rejected():
