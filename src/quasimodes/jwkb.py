@@ -33,7 +33,11 @@ Pipeline, for a potential family ``P`` and a validated anchor
    ``f~ = cutoff * exp(-psi)`` (with the true potential, not a Taylor
    truncation) by composite Gauss-Legendre quadrature and returns a
    :class:`Certificate` whose ``lower_bound = 1/r`` bounds the
-   resolvent norm at z from below.
+   resolvent norm at z from below.  A pass takes its nodes
+   ``RESIDUAL_BLOCK`` at a time and evaluates psi first; psi', psi'' and
+   V_h only where exp(-psi) has not underflowed to 0, and the cutoff only
+   on its seam delta/2 < |s| < delta.  Every node keeps the bits of the
+   direct formula.
 
 The transport recursion forces ``phi_0 .. phi_{n+1}`` to vanish; the
 tail ``phi_{n+2} .. phi_{2n+2}`` drives the O(h^{n+2}) residual.
@@ -61,6 +65,9 @@ PANEL_NODES = 16
 QUAD_RTOL = 1e-8
 
 MAX_DOUBLINGS = 8
+
+#: quadrature nodes evaluated at a time, which bounds a pass's temporaries
+RESIDUAL_BLOCK = 2**14
 
 #: how far the piecewise phase marches out (local coordinate)
 DEFAULT_SPAN = 6.0
@@ -231,13 +238,17 @@ class PiecewisePhase:
     tail_magnitudes: list  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
     coverage: np.ndarray  # (s_min, s_max): the march's walls or safety cuts
 
-    def _eval(self, s, *tables):
-        """Evaluate tables (one row per segment) at s, each point on the segment
-        with the nearest centre (ties go right); results are shaped like s."""
+    def _locate(self, s):
+        """(segment, t = s - its centre) of each point: the segment with the
+        nearest centre (ties go right), found once for every table."""
         s = np.asarray(s, dtype=float)
         joins = 0.5 * (self.centers[:-1] + self.centers[1:])
         seg = np.searchsorted(joins, s, side="right")
-        t = s - self.centers[seg]
+        return seg, s - self.centers[seg]
+
+    def _eval(self, s, *tables):
+        """Evaluate tables (one row per segment) at s; results are shaped like s."""
+        seg, t = self._locate(s)
         return tuple(horner(table, seg, t) for table in tables)
 
     def phase_at(self, s):
@@ -437,28 +448,58 @@ def residual_pointwise(P, Q, s):
     """(Hf~ - z f~, f~, cutoff commutator part) at a+s on the local grid s.
 
     The potential is evaluated exactly (not through its Taylor series),
-    so series truncation error enters only through the phase.
+    so series truncation error enters only through the phase.  Nodes are
+    taken ``RESIDUAL_BLOCK`` at a time (:func:`_residual_block`); every
+    value is computed node by node, so the blocks change no bit.
     """
-    anchor = Q.phase.anchor
-    h, a, z = anchor.h, anchor.a, anchor.z
     s = np.asarray(s, dtype=float)
-    xi, xi1, xi2 = cutoff_eval(Q.delta, np.atleast_1d(s))
-    out = np.zeros((3,) + xi.shape, dtype=complex)
-    inside = xi > 0
-    si = np.atleast_1d(s)[inside]
-    v, d1, d2 = Q.phase.phase_at(si)
-    vh = P.eval_many(h, a + si)
-    e = np.exp(-v)
-    op = (
-        -(h * h)
-        * (xi2[inside] - 2.0 * xi1[inside] * d1 + xi[inside] * (d1 * d1 - d2))
-        + (vh - z) * xi[inside]
-    )
-    out[0, inside] = op * e
-    out[1, inside] = xi[inside] * e
+    flat = s.reshape(-1)
+    out = np.zeros((3, flat.size), dtype=complex)
+    tables = derivative_rows(Q.phase.segments[:, 2])  # psi, psi', psi''
+    for lo in range(0, flat.size, RESIDUAL_BLOCK):
+        block = slice(lo, lo + RESIDUAL_BLOCK)
+        _residual_block(P, Q, tables, flat[block], out[:, block])
+    return tuple(out.reshape((3,) + s.shape))
+
+
+def _residual_block(P, Q, tables, s, out):
+    """Write the three parts of :func:`residual_pointwise` at the nodes s
+    into the zeroed ``out``, only where they can be nonzero; ``tables``
+    hold the coefficients of psi, psi' and psi'', one row per segment.
+
+    The support is ``xi > 0``: the inner half |s| <= delta/2, where xi = 1
+    and xi' = xi'' = 0, so the cutoff terms drop out and leave the same
+    bits, and the seam nodes where xi has not underflowed, the only nodes
+    ``cutoff_eval`` sees.  psi comes first: where exp(-psi) is exactly 0
+    every part is 0, so psi', psi'' and V_h are evaluated only where it is
+    not (a nan psi counts, and so keeps a non-finite pass non-finite)."""
+    pw = Q.phase
+    h, a, z = pw.anchor.h, pw.anchor.a, pw.anchor.z
+    absr = np.abs(s)
+    inner = np.flatnonzero(absr <= Q.delta / 2)
+    seam = np.flatnonzero((absr > Q.delta / 2) & (absr < Q.delta))
+    cut = np.stack(cutoff_eval(Q.delta, s[seam]))  # xi, xi', xi''
+    kept = np.flatnonzero(cut[0] > 0)
+    support = np.concatenate([inner, seam[kept]])
+    seg, t = pw._locate(s[support])
+    psi, dpsi, ddpsi = tables
+    e = np.exp(-horner(psi, seg, t))
+    live = np.flatnonzero(e != 0)
+    k = np.searchsorted(live, inner.size)  # live[:k] are inner nodes
+    at, seg, t, e = support[live], seg[live], t[live], e[live]
+    d1 = horner(dpsi, seg, t)
+    curv = d1 * d1 - horner(ddpsi, seg, t)
+    pot = P.eval_many(h, a + s[at]) - z
+    out[1, at[:k]] = e[:k]
+    # on the seam: -h^2 (xi'' - 2 xi' psi' + xi (psi'^2 - psi'')) + (V_h - z) xi
+    xi, xi1, xi2 = cut[:, kept[live[k:] - inner.size]]
+    comm = xi2 - 2.0 * xi1 * d1[k:]
+    curv[k:] = comm + xi * curv[k:]
+    pot[k:] *= xi
+    out[0, at] = (-(h * h) * curv + pot) * e
+    out[1, at[k:]] = xi * e[k:]
     # cutoff commutator alone: -h^2 (xi'' - 2 xi' psi') exp(-psi)
-    out[2, inside] = -(h * h) * (xi2[inside] - 2.0 * xi1[inside] * d1) * e
-    return tuple(out.reshape((3,) + np.shape(s)))
+    out[2, at[k:]] = -(h * h) * comm * e[k:]
 
 
 @functools.cache

@@ -166,13 +166,18 @@ def derivative_rows(coeffs):
 def horner(table, rows, t):
     """Evaluate, at each t, the polynomial ``table[rows]`` (constant term first).
 
-    ``rows`` is one row index, or one per point.  Sums from the top
-    degree down, gathering one column per degree and updating an array
-    sum in place; a scalar t keeps a numpy scalar sum, which is far
-    cheaper than 0-d array arithmetic."""
-    t = np.asanyarray(t)
-    y = table[rows, -1] + np.zeros_like(t, dtype=complex)
-    for k in range(table.shape[-1] - 2, -1, -1):
-        y *= t
-        y += table[rows, k]
+    ``rows`` is one row index or one per point, and ``t`` one point or an
+    array; the result has their broadcast shape (a numpy scalar when both
+    are scalars).  Sums from the top degree down, as ``np.polyval`` does:
+    t is cast to complex once, and each degree gathers its coefficients
+    with a 1-d ``take`` from one contiguous column of the transposed table
+    and updates the sum in place."""
+    cols = np.ascontiguousarray(table.T)  # (degree, row)
+    rows = np.asarray(rows)
+    tc = np.asarray(t, dtype=complex)
+    y = np.zeros(np.broadcast_shapes(rows.shape, tc.shape), dtype=complex)
+    y += cols[-1].take(rows)
+    for col in cols[-2::-1]:
+        y *= tc
+        y += col.take(rows)
     return y[()]

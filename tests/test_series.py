@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimodes.errors import BranchPointError, SingularityError, UsageError
-from quasimodes.series import TruncatedSeries
+from quasimodes.series import TruncatedSeries, horner
 
 
 def geometric(K):
@@ -147,6 +147,34 @@ def test_eval_d2_against_finite_differences():
         for got, ref in zip(a.eval_d2(x), polyval_d2(a.coeffs, x)):
             assert np.shape(got) == np.shape(x)
             assert same_bits(got, ref)
+
+
+def horner_per_point(table, row, t):
+    # one point at a time in Python complex arithmetic, top degree first
+    y = complex(table[row, -1]) + 0j
+    for c in table[row, -2::-1]:
+        y = y * complex(t) + complex(c)
+    return y
+
+
+@pytest.mark.parametrize("rows_kind", ["scalar", "array"])
+@pytest.mark.parametrize("t_kind", ["scalar", "array", "empty"])
+def test_horner_matches_a_per_point_loop(rows_kind, t_kind):
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal((5, 13)) + 1j * rng.standard_normal((5, 13))
+    t = {"scalar": 0.7, "array": rng.uniform(-1.5, 1.5, 40),
+         "empty": np.zeros(0)}[t_kind]
+    count = np.size(t) if np.ndim(t) else 40
+    rows = 3 if rows_kind == "scalar" else rng.integers(0, 5, count)
+    got = horner(table, rows, t)
+    shape = np.broadcast_shapes(np.shape(rows), np.shape(t))
+    assert np.shape(got) == shape
+    r, x = np.broadcast_arrays(rows, t)
+    ref = np.array([horner_per_point(table, i, v)
+                    for i, v in zip(r.ravel(), x.ravel())], dtype=complex)
+    assert same_bits(got, ref.reshape(shape))
+    if shape == ():
+        assert isinstance(got, np.complexfloating)
 
 
 coeff = st.complex_numbers(
