@@ -33,7 +33,10 @@ Pipeline, for a potential family ``P`` and a validated anchor
    ``f~ = cutoff * exp(-psi)`` (with the true potential, not a Taylor
    truncation) by composite Gauss-Legendre quadrature and returns a
    :class:`Certificate` whose ``lower_bound = 1/r`` bounds the
-   resolvent norm at z from below.  A pass takes its nodes
+   resolvent norm at z from below.  The passes take ``ceil(P0 * 2^k)``
+   panels for k = -2 .. ``MAX_DOUBLINGS``, where ``P0 = max(64,
+   ceil(8 delta / sqrt(h)))``, and stop at the first pair that agrees to
+   ``QUAD_RTOL``.  A pass takes its nodes
    ``RESIDUAL_BLOCK`` at a time and evaluates psi first; psi', psi'' and
    V_h only where exp(-psi) has not underflowed to 0, and the cutoff only
    on its seam delta/2 < |s| < delta.  Every node keeps the bits of the
@@ -61,9 +64,10 @@ GAMMA_GRID = 4096
 #: Gauss-Legendre nodes per quadrature panel
 PANEL_NODES = 16
 
-#: quadrature refinement target (relative change between doublings)
+#: quadrature refinement target (relative change between consecutive passes)
 QUAD_RTOL = 1e-8
 
+#: the last quadrature pass has P0 * 2**MAX_DOUBLINGS panels (residual_ratio)
 MAX_DOUBLINGS = 8
 
 #: quadrature nodes evaluated at a time, which bounds a pass's temporaries
@@ -277,16 +281,13 @@ def _bump_pieces(t):
     t = np.asarray(t, dtype=float)
     pos = t > 0
     ts = np.where(pos, t, 1.0)
-    q = np.where(pos, np.exp(-1.0 / ts), 0.0)
-    q1 = q / ts**2 * pos
-    q2 = q * (1.0 / ts**4 - 2.0 / ts**3) * pos
-    return q, q1, q2
+    q = np.where(pos, np.exp(-1.0 / ts), 0.0)  # q = 0 makes q', q'' 0 too
+    return q, q / ts**2, q * (1.0 / ts**4 - 2.0 / ts**3)
 
 
 def _transition(t):
     """g, g', g'' of g(t) = q(t) / (q(t) + q(1-t)) on (0, 1)."""
-    qa, qa1, qa2 = _bump_pieces(t)
-    qb, qb1, qb2 = _bump_pieces(1.0 - t)
+    (qa, qb), (qa1, qb1), (qa2, qb2) = _bump_pieces(np.stack([t, 1.0 - t]))
     b1 = -qb1  # d/dt q(1-t)
     b2 = qb2
     d = qa + qb
@@ -530,9 +531,14 @@ def residual_ratio(P, Q, allow_large_h=False):
     """Certify a resolvent-norm lower bound at the quasimode's energy.
 
     Computes r = ||Hf~ - z f~|| / ||f~|| by composite Gauss-Legendre
-    quadrature (16 nodes per panel, panels doubled until the relative
-    change drops below 1e-8) and returns a :class:`Certificate` with
-    lower_bound = 1/r; a pass that is not finite raises AccuracyError at once.
+    quadrature with 16 nodes per panel and returns a :class:`Certificate`
+    with lower_bound = 1/r.  The passes take ceil(P0/4), ceil(P0/2), P0,
+    2 P0, ..., P0 * 2^MAX_DOUBLINGS panels, with P0 = max(64, ceil(8 delta
+    / sqrt(h))), and the first pass whose ||Hf~ - z f~||^2 and ||f~||^2
+    both change by at most QUAD_RTOL (relative) from the pass before ends
+    the quadrature.  Its panels are reported, and the last two passes go
+    into the AccuracyError when no pair agrees.  A pass that is not finite
+    raises AccuracyError at once.
 
     The construction's error analysis assumes h <= delta^2; by default
     larger h is rejected, but sweeps may pass ``allow_large_h=True`` to
@@ -549,9 +555,10 @@ def residual_ratio(P, Q, allow_large_h=False):
             )
         warnings.append("h_above_delta_sq")
 
-    panels = max(64, math.ceil(8.0 * Q.delta / math.sqrt(h)))
+    p0 = max(64, math.ceil(8.0 * Q.delta / math.sqrt(h)))
     prev = cur = None
-    for _ in range(MAX_DOUBLINGS + 1):
+    for k in range(-2, MAX_DOUBLINGS + 1):  # P0/4 and P0/2, then the doublings
+        panels = math.ceil(p0 * 2.0**k)
         prev, cur = cur, _panel_quadrature(P, Q, panels)
         if not all(map(math.isfinite, cur[:2])):
             raise AccuracyError("quadrature is not finite", estimates=(prev, cur))
@@ -562,7 +569,6 @@ def residual_ratio(P, Q, allow_large_h=False):
             )
             if ok:
                 break
-        panels *= 2
     else:
         raise AccuracyError(
             "quadrature did not converge", estimates=(prev, cur)

@@ -526,8 +526,15 @@ def test_nonfinite_quadrature_fails_after_one_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def doubling_base(Q):
+    """P0 = max(64, ceil(8 delta / sqrt(h))), the panels of the first doubling."""
+    return max(64, math.ceil(8.0 * Q.delta / math.sqrt(Q.phase.anchor.h)))
+
+
 def test_unconverged_quadrature_reports_its_last_two_passes(monkeypatch):
     Q = jwkb.build_quasimode(IX3, cubic_anchor(), 0)
+    p0 = doubling_base(Q)
+    assert p0 % 4 != 0  # so the two coarse passes round up
     passes = []
 
     def drifting(P, Q, panels):  # never settles to QUAD_RTOL
@@ -537,8 +544,42 @@ def test_unconverged_quadrature_reports_its_last_two_passes(monkeypatch):
     monkeypatch.setattr(jwkb, "_panel_quadrature", drifting)
     with pytest.raises(AccuracyError, match="did not converge") as err:
         jwkb.residual_ratio(IX3, Q)
-    assert len(passes) == jwkb.MAX_DOUBLINGS + 1
-    assert err.value.estimates == (passes[-2], passes[-1])
+    schedule = [-(-p0 // 4), -(-p0 // 2)]
+    schedule += [p0 * 2**j for j in range(jwkb.MAX_DOUBLINGS + 1)]
+    assert [p for p, _, _ in passes] == schedule
+    assert err.value.estimates == tuple(passes[-2:])
+
+
+@pytest.mark.parametrize("j", [0, 3, jwkb.MAX_DOUBLINGS - 1])
+def test_a_pair_of_doublings_that_agrees_still_ends_the_quadrature(monkeypatch, j):
+    # the passes agree only at (P0 2^j, P0 2^(j+1)): the two coarse passes
+    # in front of the doublings must not change where the quadrature ends
+    Q = jwkb.build_quasimode(IX3, cubic_anchor(), 0)
+    p0 = doubling_base(Q)
+    passes = []
+
+    def settling(P, Q, panels):
+        passes.append(panels)
+        return (4.0, 1.0, 0.5) if panels >= p0 * 2**j else (float(panels), 1.0, 0.0)
+
+    monkeypatch.setattr(jwkb, "_panel_quadrature", settling)
+    cert = jwkb.residual_ratio(IX3, Q)
+    assert passes == [-(-p0 // 4), -(-p0 // 2)] + [p0 * 2**i for i in range(j + 2)]
+    assert cert.panels == p0 * 2 ** (j + 1)
+    assert (cert.r, cert.diagnostics["cutoff_term_sq"]) == (2.0, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("h", [0.2, 0.025, 0.00625])
+@pytest.mark.parametrize(
+    "P, a, eta", [(IX, 0.0, 1.0), (IX3, 1.0, 1.0), (X4, 1.0, 1.0)], ids=["ix", "ix3", "x4"]
+)
+def test_r_agrees_with_a_pass_at_eight_times_its_panels(P, a, eta, h, n):
+    # a coarse pair of passes must not agree on a value the quadrature
+    # has not reached
+    cert = jwkb.certify(P, make_anchor(P, h, a, eta), n, allow_large_h=True)
+    num, den, _ = jwkb._panel_quadrature(P, cert.quasimode, 8 * cert.panels)
+    assert cert.r == pytest.approx(math.sqrt(num / den), rel=jwkb.QUAD_RTOL, abs=0)
 
 
 def test_order_must_be_nonnegative():

@@ -120,3 +120,39 @@ def test_a_nan_phase_row_fails_the_pass(cubic, where):
     Q = dataclasses.replace(cubic, phase=dataclasses.replace(pw, segments=segments))
     with pytest.raises(AccuracyError, match="not finite"):
         jwkb.residual_ratio(IX3, Q)
+
+
+def masked_bump_pieces(t):
+    """q, q', q'' of exp(-1/t), with q' and q'' masked to t > 0 as well."""
+    pos = t > 0
+    ts = np.where(pos, t, 1.0)
+    q = np.where(pos, np.exp(-1.0 / ts), 0.0)
+    return q, q / ts**2 * pos, q * (1.0 / ts**4 - 2.0 / ts**3) * pos
+
+
+def two_call_transition(t):
+    """The cutoff's transition with one bump evaluation per side."""
+    qa, qa1, qa2 = masked_bump_pieces(t)
+    qb, qb1, qb2 = masked_bump_pieces(1.0 - t)
+    b1 = -qb1
+    b2 = qb2
+    d = qa + qb
+    d1 = qa1 + b1
+    w = qa1 * qb - qa * b1
+    w1 = qa2 * qb - qa * b2
+    g = qa / d
+    g1 = w / d**2
+    g2 = (w1 * d - 2.0 * w * d1) / d**3
+    return g, g1, g2
+
+
+def test_the_transition_keeps_its_bits(cubic):
+    d = cubic.delta
+    seam = np.linspace(d / 2, d, 20001)[1:-1]
+    near = d * (1.0 - np.geomspace(1e-6, 0.5, 400))  # down to xi's underflow
+    ends = [d / 2, np.nextafter(d / 2, d), np.nextafter(d, 0), d]  # t = 1, ~1, ~0, 0
+    t = 2.0 - 2.0 * np.concatenate([seam, near, ends]) / d
+    assert t[-1] == 0.0 and t[-4] == 1.0 and 0.0 < t[-2] and t[-3] < 1.0
+    for got, ref in zip(jwkb._transition(t), two_call_transition(t)):
+        assert np.isfinite(ref).all()
+        assert np.all(got == ref)

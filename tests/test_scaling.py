@@ -211,3 +211,29 @@ def test_highenergy_lower_bound_transfer():
     assert cert.diagnostics["semiclassical_h"] == pytest.approx(
         sigma ** (-0.25 * 3.0)
     )
+
+
+#: the benchmark's high-energy sweep, (family, arg z / pi, n, sigma), less
+#: the four (family, n, sigma) it leaves out because their quadrature ends
+#: in AccuracyError at the round-off floor of the residual
+HE_SWEEP = [
+    (fam, frac, n, sigma)
+    for fam, frac in (("x4", 1 / 8), ("x4", 3 / 16), ("halfline", 1 / 8))
+    for n in (0, 1, 2)
+    for sigma in (1e1, 1e2, 1e3, 1e4, 1e5)
+    if (fam, n, sigma)
+    not in {("x4", 2, 1e5), ("halfline", 2, 1e4), ("halfline", 1, 1e5), ("halfline", 2, 1e5)}
+]
+
+
+# ("halfline", 1/8, 1, 1e4) is on that floor too: r is the same at every
+# panel count up to round-off, so its passes agree to QUAD_RTOL by chance
+@pytest.mark.parametrize(
+    "fam, frac, n, sigma",
+    HE_SWEEP,
+    ids=[f"{fam}-{frac:g}pi-n{n}-{sigma:g}" for fam, frac, n, sigma in HE_SWEEP],
+)
+def test_the_high_energy_sweep_certifies(fam, frac, n, sigma):
+    HE = scaling.HighEnergyOperator({"x4": QUARTIC, "halfline": HALF}[fam])
+    cert = scaling.highenergy_lower_bound(HE, cmath.exp(1j * math.pi * frac), sigma, n)
+    assert math.isfinite(cert.r) and cert.r > 0
