@@ -319,15 +319,16 @@ def cutoff_eval(delta, s):
     xi[absr >= delta] = 0.0
     mid = (absr > delta / 2) & (absr < delta)
     if mid.any():
-        t = 2.0 - 2.0 * absr[mid] / delta
-        g, g1, g2 = _transition(t)
-        sgn = np.sign(s[mid])
-        xi[mid] = g
-        xi1[mid] = g1 * (-2.0 * sgn / delta)
-        xi2[mid] = g2 * (4.0 / delta**2)
+        xi[mid], xi1[mid], xi2[mid] = _seam_cutoff(delta, s[mid])
     if scalar:
         return xi[0], xi1[0], xi2[0]
     return xi, xi1, xi2
+
+
+def _seam_cutoff(delta, s):
+    """:func:`cutoff_eval` at seam nodes only, delta/2 < |s| < delta."""
+    g, g1, g2 = _transition(2.0 - 2.0 * np.abs(s) / delta)
+    return g, g1 * np.copysign(2.0 / delta, -s), g2 * (4.0 / delta**2)
 
 
 # -- quasimode assembly ---------------------------------------------------
@@ -471,15 +472,15 @@ def _residual_block(P, Q, tables, s, out):
     The support is ``xi > 0``: the inner half |s| <= delta/2, where xi = 1
     and xi' = xi'' = 0, so the cutoff terms drop out and leave the same
     bits, and the seam nodes where xi has not underflowed, the only nodes
-    ``cutoff_eval`` sees.  psi comes first: where exp(-psi) is exactly 0
-    every part is 0, so psi', psi'' and V_h are evaluated only where it is
-    not (a nan psi counts, and so keeps a non-finite pass non-finite)."""
+    :func:`_seam_cutoff` sees.  psi comes first: where exp(-psi) is exactly
+    0 every part is 0, so psi', psi'' and V_h are evaluated only where it
+    is not (a nan psi counts, and so keeps a non-finite pass non-finite)."""
     pw = Q.phase
     h, a, z = pw.anchor.h, pw.anchor.a, pw.anchor.z
     absr = np.abs(s)
     inner = np.flatnonzero(absr <= Q.delta / 2)
     seam = np.flatnonzero((absr > Q.delta / 2) & (absr < Q.delta))
-    cut = np.stack(cutoff_eval(Q.delta, s[seam]))  # xi, xi', xi''
+    cut = np.stack(_seam_cutoff(Q.delta, s[seam]))  # xi, xi', xi''
     kept = np.flatnonzero(cut[0] > 0)
     support = np.concatenate([inner, seam[kept]])
     seg, t = pw._locate(s[support])

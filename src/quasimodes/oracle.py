@@ -3,10 +3,10 @@
 The operator -h^2 d^2/dx^2 + V_h is discretized with second-order
 central differences and Dirichlet truncation on [x_lo, x_hi], giving a
 complex tridiagonal matrix T.  The discrete resolvent norm at z is
-1/sigma_min(T - zI), from one Lanczos run (``scipy.sparse.linalg.eigsh``)
-for the largest eigenvalue of ((T - z)^H (T - z))^-1, applied as two
-O(N) tridiagonal solves.  scipy's solvers are imported on the first
-call, not with the package.
+1/sigma_min(T - zI), from one Lanczos run for the largest eigenvalue of
+((T - z)^H (T - z))^-1.  T - z and its adjoint are LU-factored once with
+partial pivoting, so each Lanczos product is two O(N) tridiagonal
+solves.  Everything here is numpy and plain Python loops.
 
 :func:`validate` compares a certificate against this discrete estimate:
 the certified lower bound must not exceed the discrete norm by more than
@@ -26,6 +26,7 @@ from .errors import AccuracyError, UsageError
 
 SSV_TOL = 1e-8
 SSV_SEED = 0
+SSV_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -83,51 +84,97 @@ def assemble(P, h, disc):
     return TridiagonalOperator(sub=off.copy(), diag=diag, sup=off.copy())
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on the first solve so that
-    importing the package does not load ``scipy.linalg``."""
-    from scipy.linalg import solve_banded as solve
-
-    return solve(l_and_u, ab, b)
-
-
-def _banded(sub, diag, sup):
+def factor_tridiagonal(sub, diag, sup):
+    """LU factors of a tridiagonal matrix with partial pivoting, as LAPACK
+    ``gttrf`` computes them: ``(l, swap, d, du, du2)``, the N - 1
+    multipliers and row interchanges, then U's diagonal and its two
+    superdiagonals, padded with zeros to length N.  None if a pivot is
+    exactly zero, that is if the matrix is exactly singular."""
     n = diag.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    return ab
+    l, d, du = sub.tolist(), diag.tolist(), sup.tolist() + [0j]
+    du2 = [0j] * n
+    swap = [False] * (n - 1)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(l[i]):
+            if d[i] == 0:
+                return None
+            l[i] /= d[i]
+            d[i + 1] -= l[i] * du[i]
+        else:
+            swap[i] = True
+            f = d[i] / l[i]
+            d[i], l[i], du[i], d[i + 1] = l[i], f, d[i + 1], du[i] - f * d[i + 1]
+            du2[i], du[i + 1] = du[i + 1], -f * du[i + 1]
+    if d[-1] == 0:
+        return None
+    return l, swap, d, du, du2
+
+
+def solve_banded(lu, b):
+    """x with A x = b, from the factors ``lu`` of A by
+    :func:`factor_tridiagonal` (LAPACK ``gttrs``): one O(N) sweep down
+    through L and the interchanges, one up through U."""
+    l, swap, d, du, du2 = lu
+    b = b.tolist()
+    y = []
+    carry = b[0]
+    for li, si, bi in zip(l, swap, b[1:]):
+        if si:
+            y.append(bi)
+            carry -= li * bi
+        else:
+            y.append(carry)
+            carry = bi - li * carry
+    y.append(carry)
+    x = []
+    x1 = x2 = 0j
+    for yi, di, ui, u2i in zip(y[::-1], d[::-1], du[::-1], du2[::-1]):
+        x1, x2 = (yi - ui * x1 - u2i * x2) / di, x1
+        x.append(x1)
+    return np.array(x[::-1])
 
 
 def smallest_singular_value(T, z):
-    """sigma_min(T - zI) = 1/sqrt(lambda), lambda the largest eigenvalue of
-    ((T - z)^H (T - z))^-1 to relative accuracy ``SSV_TOL``.
+    """sigma_min(T - zI) = 1/sqrt(theta), theta the largest eigenvalue of
+    ((T - z)^H (T - z))^-1.
 
-    Each Lanczos product is two tridiagonal solves.  The start vector is
-    random complex from the fixed ``SSV_SEED``: reproducible, and not
-    orthogonal to an odd singular vector as a ones vector can be.  An
-    exactly singular matrix returns 0; a run that does not converge
-    raises :class:`AccuracyError`."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
+    T - z and its adjoint are factored once (:func:`factor_tridiagonal`),
+    so each Lanczos product is two :func:`solve_banded` calls.  Lanczos
+    keeps every basis vector and reorthogonalizes against all of them,
+    and stops when the Ritz residual |beta_k s_k| is at most ``SSV_TOL``
+    times theta.  The start vector is random complex from the fixed
+    ``SSV_SEED``: reproducible, and not orthogonal to an odd singular
+    vector as a ones vector can be.  An exactly singular matrix returns
+    0; a run that reaches ``SSV_MAX_STEPS`` first raises
+    :class:`AccuracyError`."""
     diag = T.diag - z
-    ab = _banded(T.sub, diag, T.sup)
-    abh = _banded(np.conj(T.sup), np.conj(diag), np.conj(T.sub))
-    op = LinearOperator(
-        (T.n, T.n),
-        matvec=lambda v: solve_banded((1, 1), ab, solve_banded((1, 1), abh, v)),
-        dtype=complex,
-    )
-    rng = np.random.default_rng(SSV_SEED)
-    v0 = rng.standard_normal(T.n) + 1j * rng.standard_normal(T.n)
-    try:
-        lam = eigsh(op, k=1, v0=v0, tol=SSV_TOL, return_eigenvectors=False)[0]
-    except (np.linalg.LinAlgError, ValueError):
+    lu = factor_tridiagonal(T.sub, diag, T.sup)
+    luh = factor_tridiagonal(np.conj(T.sup), np.conj(diag), np.conj(T.sub))
+    if lu is None or luh is None:
         return 0.0
-    except ArpackNoConvergence as exc:
-        raise AccuracyError("sigma_min: Lanczos did not converge") from exc
-    return 1.0 / math.sqrt(lam) if np.isfinite(lam) and lam > 0 else 0.0
+    rng = np.random.default_rng(SSV_SEED)
+    q = rng.standard_normal(T.n) + 1j * rng.standard_normal(T.n)
+    steps = min(SSV_MAX_STEPS, T.n)
+    basis = np.empty((steps + 1, T.n), dtype=complex)
+    basis[0] = q / np.linalg.norm(q)
+    tri = np.zeros((steps + 1, steps + 1))
+    for k in range(steps):
+        Q = basis[: k + 1]
+        w = solve_banded(lu, solve_banded(luh, basis[k]))
+        for _ in range(2):  # twice is enough (Kahan)
+            c = Q.conj() @ w
+            w -= c @ Q
+            tri[k, k] += c[k].real
+        beta = np.linalg.norm(w)
+        if not math.isfinite(beta):  # the solves overflowed: singular in float64
+            return 0.0
+        theta, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
+        theta = theta[-1]
+        if beta * abs(vecs[-1, -1]) <= SSV_TOL * theta or k + 1 == T.n:
+            return 1.0 / math.sqrt(theta)
+        basis[k + 1] = w / beta
+        tri[k, k + 1] = tri[k + 1, k] = beta
+    raise AccuracyError(f"sigma_min: Lanczos did not converge in {steps} steps")
 
 
 @dataclass

@@ -40,3 +40,18 @@ def test_tracer_counts_segments_and_quadrature_passes():
     for owner, attrs in zip(owners, before):
         after = vars(owner)
         assert all(after[name] is value for name, value in attrs.items())
+
+
+def test_tracer_counts_two_solves_per_sigma_min():
+    anchor = make_anchor(IX3, 0.05, 1.0, 1.0)
+    cert = jwkb.certify(IX3, anchor, 0)
+    disc = oracle.default_discretization(IX3, anchor, cert.delta)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        oracle.validate(cert, IX3, disc)
+    finally:
+        tracer.uninstall()
+    ssv_calls = sum(1 for span in tracer.spans if span[0] == "oracle.ssv")
+    assert ssv_calls == 1
+    assert tracer.layer_metrics()["oracle.ssv_solves"][0] >= 2 * ssv_calls

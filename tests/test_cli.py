@@ -266,14 +266,22 @@ def test_bad_number_is_one_usage_line(capsys, tmp_path, argv):
     assert lines[0].startswith("error:usage:")
 
 
-def test_import_leaves_scipy_linalg_unloaded():
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
+    # a full validate run, the one command that solves with the oracle
+    path = tmp_path / "cubic.txt"
+    path.write_text(CUBIC)
     src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
-    code = "import sys, quasimodes.cli; print('scipy.linalg' in sys.modules)"
+    code = (
+        "import sys; from quasimodes.cli import main; "
+        f"code = main(['validate', '--potential', {str(path)!r}, '--a', '1', "
+        "'--eta', '1', '--h', '0.05', '--format', 'json']); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_accuracy_error_is_one_line(tmp_path):

@@ -14,6 +14,8 @@ from quasimodes.potential import PotentialFamily, make_anchor
 
 IX3 = PotentialFamily(((1j, 3, 0),))
 QUARTIC = PotentialFamily(((1 + 1j, 4, 0),))
+HALFLINE = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
+FIXED_Z = 100.0 * cmath.exp(1j * math.pi / 8)
 
 
 def test_discretization_grid():
@@ -69,29 +71,59 @@ def test_smallest_singular_value_shift():
     assert got < 1e-8 * k
 
 
-@pytest.mark.parametrize("n", [1000, 2000])
-def test_smallest_singular_value_matches_dense_svd(n):
-    # a high-energy quartic whose two smallest singular values are 0.3%
-    # apart (0.7825, 0.7846 at n = 1000): a hard case for a power method
-    T = oracle.assemble(QUARTIC, 1.0, oracle.Discretization(-6.0, 6.0, n))
-    z = 100.0 * cmath.exp(1j * math.pi / 8)
+def test_exactly_singular_matrix_gives_zero():
+    # h^2/dx^2 = 1, so T - 2 has a zero diagonal and is exactly singular
+    P = PotentialFamily(((0.0, 0, 0),))
+    T = oracle.assemble(P, 0.25, oracle.Discretization(0.0, 1.0, 3))
+    assert oracle.factor_tridiagonal(T.sub, T.diag - 2.0, T.sup) is None
+    assert oracle.smallest_singular_value(T, 2.0) == 0.0
+
+
+def test_solve_pivots_past_a_zero_leading_pivot():
+    # z = T[0, 0] zeroes the first pivot: LU without interchanges breaks down
+    T = oracle.assemble(IX3, 0.1, oracle.Discretization(-2.0, 4.0, 400))
+    z = T.diag[0]
+    A = oracle.TridiagonalOperator(T.sub, T.diag - z, T.sup)
+    assert A.diag[0] == 0
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n)
+    x = oracle.solve_banded(oracle.factor_tridiagonal(A.sub, A.diag, A.sup), b)
+    dense = np.diag(A.diag) + np.diag(A.sup, 1) + np.diag(A.sub, -1)
+    eps = np.finfo(float).eps
+    bound = 100 * eps * (np.linalg.norm(dense, 2) * np.linalg.norm(x) + np.linalg.norm(b))
+    assert np.linalg.norm(A.matvec(x) - b) <= bound
+
+
+@pytest.mark.parametrize("case", ["1000", "2000", "halfline", "ix3-h0.0125"])
+def test_smallest_singular_value_matches_dense_svd(case):
+    # "1000", "2000": a high-energy quartic whose two smallest singular
+    # values are 0.3% apart (0.7825, 0.7846 at n = 1000), a hard case for
+    # a power method.  The other two sit near the float64 floor
+    # eps * sigma_max, which then bounds the error instead of 1e-8.
+    if case == "ix3-h0.0125":
+        anchor = make_anchor(IX3, 0.0125, 1.0, 1.0)
+        cert = jwkb.certify(IX3, anchor, 2)
+        disc = oracle.default_discretization(IX3, anchor, cert.delta)
+        T, z = oracle.assemble(IX3, 0.0125, disc), cert.z
+    else:
+        P, lo, hi, n = ((HALFLINE, 0.05, 12.0, 2000) if case == "halfline"
+                        else (QUARTIC, -6.0, 6.0, int(case)))
+        T, z = oracle.assemble(P, 1.0, oracle.Discretization(lo, hi, n)), FIXED_Z
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = oracle.smallest_singular_value(T, z)
         again = oracle.smallest_singular_value(T, z)
     dense = np.diag(T.diag - z) + np.diag(T.sup, 1) + np.diag(T.sub, -1)
-    ref = np.linalg.svd(dense, compute_uv=False)[-1]
-    assert got == pytest.approx(ref, rel=1e-8)
+    sv = np.linalg.svd(dense, compute_uv=False)
+    tol = 1e-8 * sv[-1]
+    if not case.isdigit():
+        tol = max(tol, 10 * np.finfo(float).eps * sv[0])
+    assert abs(got - sv[-1]) <= tol
     assert again == got
 
 
 def test_lanczos_failure_is_an_accuracy_error(monkeypatch, tmp_path):
-    import scipy.sparse.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(oracle, "SSV_MAX_STEPS", 1)
     T = oracle.assemble(IX3, 0.1, oracle.Discretization(-2.0, 4.0, 400))
     with pytest.raises(AccuracyError):
         oracle.smallest_singular_value(T, 1 + 1j)
