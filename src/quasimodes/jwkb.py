@@ -122,15 +122,19 @@ def _local_series(P, anchor, n, K, centers):
     count, width = rhs.shape
     ks = np.arange(1, width)
     derivs = np.zeros((count, n + 2, width), dtype=complex)
-    root, rho = derivs[:, 0], np.zeros((count, width), dtype=complex)
+    # degree-major (K + 1, segment) rows, so each degree's convolution is
+    # a sum over the leading axis of contiguous rows
+    root, rho = np.zeros((2, width, count), dtype=complex)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        root[:, 0] = np.where(centers == 0.0, 1j * anchor.eta, np.sqrt(rhs[:, 0]))
-        rho[:, 0] = 1.0 / (2.0 * root[:, 0])  # rho = 1/(2 psi_{-1}')
+        root[0] = np.where(centers == 0.0, 1j * anchor.eta, np.sqrt(rhs[:, 0]))
+        rho[0] = 1.0 / (2.0 * root[0])  # rho = 1/(2 psi_{-1}')
+        two_root, minus_rho = 2.0 * root[0], -rho[0]
         for k in ks:
-            conv = np.einsum("si,si->s", root[:, 1:k], root[:, k - 1 : 0 : -1])
-            root[:, k] = (rhs[:, k] - conv) / (2.0 * root[:, 0])
-            conv = np.einsum("si,si->s", root[:, 1 : k + 1], rho[:, k - 1 :: -1])
-            rho[:, k] = -rho[:, 0] * (2.0 * conv)
+            conv = (root[1:k] * root[k - 1 : 0 : -1]).sum(0)
+            root[k] = (rhs[:, k] - conv) / two_root
+            conv = (root[1 : k + 1] * rho[k - 1 :: -1]).sum(0)
+            rho[k] = minus_rho * (2.0 * conv)
+        derivs[:, 0], rho = root.T, rho.T  # back to segment-major
         for m in range(-1, n):
             source = derivative_rows(derivs[:, m + 1])[1]  # psi_m''
             pairs = _products(derivs[:, 1 : m + 2], derivs[:, m + 1 : 0 : -1])
@@ -141,7 +145,7 @@ def _local_series(P, anchor, n, K, centers):
             m = np.arange(j - 2 - n, n + 1)  # m + k = j - 2 with m, k <= n
             acc -= _products(derivs[:, m + 1], derivs[:, j - 1 - m]).sum(1)
             acc[:, max(width - 1 - j, 0) + 1 :] = 0.0
-    if not (root[centers == 0.0, 1].real > 0).all():  # f~ must concentrate
+    if not (root[1, centers == 0.0].real > 0).all():  # f~ must concentrate
         raise DegenerateAnchorError("Re psi_{-1}''(0) = Im V'(a)/(2 eta) <= 0")
     return derivs, tails
 
@@ -504,10 +508,27 @@ def _residual_block(P, Q, tables, s, out):
     out[2, at[k:]] = -(h * h) * comm * e[k:]
 
 
+#: the positive half of the symmetric 16-point Gauss-Legendre rule: the
+#: bits of ``numpy.polynomial.legendre.leggauss(16)``, held here so that
+#: certifying loads no numpy.polynomial
+_LEGENDRE_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+)
+_LEGENDRE_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+)
+
+
 @functools.cache
 def _legendre_rule():
-    """Gauss-Legendre nodes and weights, computed once on first use."""
-    return np.polynomial.legendre.leggauss(PANEL_NODES)
+    """Gauss-Legendre nodes (ascending) and weights of ``PANEL_NODES`` =
+    16 points, mirrored from the constant half rule."""
+    x, w = np.array(_LEGENDRE_NODES), np.array(_LEGENDRE_WEIGHTS)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def _panel_quadrature(P, Q, panels):

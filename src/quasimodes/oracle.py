@@ -6,7 +6,9 @@ complex tridiagonal matrix T.  The discrete resolvent norm at z is
 1/sigma_min(T - zI), from one Lanczos run for the largest eigenvalue of
 ((T - z)^H (T - z))^-1.  T - z and its adjoint are LU-factored once with
 partial pivoting, so each Lanczos product is two O(N) tridiagonal
-solves.  Everything here is numpy and plain Python loops.
+solves.  Everything here is numpy and plain Python loops, and the
+Lanczos start vector comes from the standard library's ``random``, so
+the oracle loads no numpy module beyond those ``import numpy`` loads.
 
 :func:`validate` compares a certificate against this discrete estimate:
 the certified lower bound must not exceed the discrete norm by more than
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +145,20 @@ def smallest_singular_value(T, z):
     so each Lanczos product is two :func:`solve_banded` calls.  Lanczos
     keeps every basis vector and reorthogonalizes against all of them,
     and stops when the Ritz residual |beta_k s_k| is at most ``SSV_TOL``
-    times theta.  The start vector is random complex from the fixed
-    ``SSV_SEED``: reproducible, and not orthogonal to an odd singular
-    vector as a ones vector can be.  An exactly singular matrix returns
-    0; a run that reaches ``SSV_MAX_STEPS`` first raises
+    times theta.  The start vector is complex Gaussian, from the bytes of
+    ``random.Random(SSV_SEED)``: reproducible, and not orthogonal to an
+    odd singular vector as a ones vector can be.  An exactly singular
+    matrix returns 0; a run that reaches ``SSV_MAX_STEPS`` first raises
     :class:`AccuracyError`."""
     diag = T.diag - z
     lu = factor_tridiagonal(T.sub, diag, T.sup)
     luh = factor_tridiagonal(np.conj(T.sup), np.conj(diag), np.conj(T.sub))
     if lu is None or luh is None:
         return 0.0
-    rng = np.random.default_rng(SSV_SEED)
-    q = rng.standard_normal(T.n) + 1j * rng.standard_normal(T.n)
+    # Box-Muller on 2N uniforms in [0, 1) from 53 random bits each
+    bits = random.Random(SSV_SEED).randbytes(16 * T.n)
+    u = (np.frombuffer(bits, dtype="<u8").reshape(2, T.n) >> 11) * 2.0**-53
+    q = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
     steps = min(SSV_MAX_STEPS, T.n)
     basis = np.empty((steps + 1, T.n), dtype=complex)
     basis[0] = q / np.linalg.norm(q)

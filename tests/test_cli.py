@@ -284,6 +284,27 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("command", [["validate", "--format", "json"], ["quasimode"]])
+def test_cli_call_loads_no_numpy_random_or_polynomial(tmp_path, command):
+    # a CLI call runs on the numpy modules that `import numpy` loads
+    path = tmp_path / "cubic.txt"
+    path.write_text(CUBIC)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
+    argv = command[:1] + ["--potential", str(path), "--a", "1", "--eta", "1",
+                          "--h", "0.05"] + command[1:]
+    code = (
+        "import sys; from quasimodes.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules "
+        "if m.startswith(('numpy.random', 'numpy.polynomial'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_accuracy_error_is_one_line(tmp_path):
     # exp(-psi) overflows in the quadrature for this anchor at n = 2
     path = tmp_path / "half.txt"

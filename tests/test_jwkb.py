@@ -497,6 +497,13 @@ def test_residual_matches_quadrature_pointwise():
     np.testing.assert_allclose(f, np.exp(-v), rtol=1e-12)
 
 
+def test_legendre_rule_is_numpys_bit_for_bit():
+    # the constant table must follow PANEL_NODES
+    want = np.polynomial.legendre.leggauss(jwkb.PANEL_NODES)
+    for got, ref in zip(jwkb._legendre_rule(), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_large_h_guard():
     # half-line family with a genuinely small reach so delta^2 < h
     P = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
