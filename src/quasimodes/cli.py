@@ -12,6 +12,9 @@ flags, so one parse checks both and a flag wins over the file.  Errors,
 argparse's and a file's that cannot be read or written included, print
 one machine-parsable line ``error:<code>: <message>`` and exit with 2
 (usage), 3 (infeasible anchor) or 4 (numerical accuracy).
+
+The module imports no numpy: ``main`` loads the numeric modules only once
+argv has parsed, so a usage error or ``--help`` costs an interpreter start.
 """
 
 from __future__ import annotations
@@ -22,9 +25,24 @@ import json
 import math
 import sys
 
-from . import jwkb, oracle, scaling
+import quasimodes
+
 from .errors import QuasimodeError, UsageError
-from .potential import load_potential, make_anchor
+
+#: the numeric names the commands use; ``main`` imports them in this order
+#: (which fixes the process's peak memory) once argv has parsed
+_NUMERIC = ("jwkb", "oracle", "scaling", "load_potential", "make_anchor")
+
+
+def __getattr__(name):
+    """Resolve a numeric name on first access through the lazy package (as
+    ``cli.jwkb`` or a wrapper's ``getattr(cli, "load_potential")`` does)
+    and keep it bound."""
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(quasimodes, name)
+    return value
+
 
 FMT = "%.17g"
 
@@ -259,6 +277,9 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_with_config(argv))
+        for name in _NUMERIC:
+            if name not in globals():  # a name bound already stays bound
+                __getattr__(name)
         return args.func(args)
     except BrokenPipeError:  # an OSError, but not the user's to fix
         return 1

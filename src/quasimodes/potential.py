@@ -82,7 +82,9 @@ class PotentialFamily:
         """Coefficients 0 .. K of V_h(x + s) in s, one row per point of x, by
         the generalized binomial theorem (which stops at degree p for integer
         p >= 0).  Powers have Python's bits: numpy's complex power has them
-        for integer p; a fractional power (x > 0) is taken point by point."""
+        for integer p, and ``np.float_power`` for fractional p (x > 0), as
+        its float64 loop calls the C library's pow; ``**`` on floats takes
+        a SIMD pow that can differ by 1 ulp."""
         x = np.asarray(x, dtype=float)
         if (x <= self.x_min).any():
             raise DomainError(f"x = {x.min()} outside the half-line domain")
@@ -93,7 +95,7 @@ class PotentialFamily:
             q = p - k[: degree + 1]
             binom = np.cumprod(np.append(1.0, q[:-1] / k[1 : degree + 1]))
             powers = (x.astype(complex)[..., None] ** q if p.is_integer()
-                      else np.vectorize(pow, otypes=[complex])(x[..., None], q))
+                      else np.float_power(x[..., None], q))
             out[..., : degree + 1] += c * (h**e if e else 1.0) * binom * powers
         return out
 

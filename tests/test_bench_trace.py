@@ -1,7 +1,12 @@
 """Smoke test: the benchmark's tracer still finds the names it patches."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import quasimodes
 
 from quasimodes import cli, jwkb, oracle, potential, scaling, series
 from quasimodes.potential import PotentialFamily, make_anchor
@@ -55,3 +60,44 @@ def test_tracer_counts_two_solves_per_sigma_min():
     ssv_calls = sum(1 for span in tracer.spans if span[0] == "oracle.ssv")
     assert ssv_calls == 1
     assert tracer.layer_metrics()["oracle.ssv_solves"][0] >= 2 * ssv_calls
+
+
+#: run in a fresh interpreter: wrap a ``cli`` whose ``main`` has never run,
+#: then certify and validate through ``cli.main`` in this process
+FRESH_CLI_TRACE = """
+import contextlib, importlib.util, io, sys
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+from quasimodes import cli, jwkb, oracle, potential, scaling
+before = dict(vars(cli))
+tracer = spans.Tracer()
+tracer.install()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["validate", "--potential", sys.argv[2], "--a", "1",
+                         "--eta", "1", "--h", "0.05", "--format", "json"])
+finally:
+    tracer.uninstall()
+names = {span[0] for span in tracer.spans}
+restored = all(vars(cli)[name] is value for name, value in before.items())
+bound = (cli.load_potential is potential.load_potential
+         and cli.make_anchor is potential.make_anchor
+         and (cli.jwkb, cli.oracle, cli.scaling) == (jwkb, oracle, scaling))
+print(code, "potential.load" in names, "potential.make_anchor" in names,
+      "cli.main" in names, restored, bound)
+"""
+
+
+def test_tracer_wraps_cli_names_that_main_binds_late(tmp_path):
+    # cli binds its numeric names after argv parses; a wrapper installed
+    # before the first call must survive that call and be undone after it
+    path = tmp_path / "cubic.txt"
+    path.write_text("domain: line\n0 1 3 0\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI_TRACE, str(SPANS), str(path)],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "0 True True True True True\n", proc.stderr

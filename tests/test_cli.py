@@ -305,6 +305,74 @@ def test_cli_call_loads_no_numpy_random_or_polynomial(tmp_path, command):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def fresh_python(code):
+    """The finished process of ``python -c code`` run on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_refused_format_loads_no_numpy(tmp_path):
+    path = tmp_path / "cubic.txt"
+    path.write_text(CUBIC)
+    argv = ["region", "--potential", str(path), "--h", "0.05", "--a-min", "0.5",
+            "--a-max", "1.5", "--a-count", "5", "--eta-min", "-2", "--eta-max",
+            "2", "--eta-count", "5", "--format", "json"]
+    proc = fresh_python(
+        "import sys; from quasimodes.cli import main; "
+        f"code = main({argv!r}); print(code, 'numpy' in sys.modules)"
+    )
+    assert proc.stdout == "2 False\n"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:usage:")
+
+
+def test_help_loads_no_numpy():
+    proc = fresh_python(
+        "import sys\nfrom quasimodes.cli import main\n"
+        "try:\n    main(['--help'])\nexcept SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules)"
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_package_import_loads_no_numpy():
+    proc = fresh_python("import sys, quasimodes; print('numpy' in sys.modules)")
+    assert proc.stdout == "False\n"
+
+
+def test_star_import_binds_every_export_from_its_submodule():
+    proc = fresh_python(
+        "import sys, quasimodes\nfrom quasimodes import *\n"
+        "import quasimodes.jwkb\n"
+        "names = quasimodes.__all__\n"
+        "same = [globals()[n] is getattr(sys.modules[globals()[n].__module__], n) "
+        "for n in names]\n"
+        "print(len(names), all(same), certify is quasimodes.jwkb.certify)"
+    )
+    assert proc.stdout == "40 True True\n"
+
+
+def test_submodule_resolves_after_plain_import():
+    proc = fresh_python(
+        "import quasimodes; print(quasimodes.jwkb.__name__, "
+        "quasimodes.jwkb.certify is quasimodes.certify)"
+    )
+    assert proc.stdout == "quasimodes.jwkb True\n"
+
+
+@pytest.mark.parametrize("module", ["quasimodes", "quasimodes.cli"])
+def test_unknown_attribute_raises_attribute_error(module):
+    proc = fresh_python(
+        f"import {module} as m\n"
+        "try:\n    m.no_such_name\nexcept AttributeError as exc:\n"
+        "    print('no_such_name' in str(exc))"
+    )
+    assert proc.stdout == "True\n"
+
+
 def test_accuracy_error_is_one_line(tmp_path):
     # exp(-psi) overflows in the quadrature for this anchor at n = 2
     path = tmp_path / "half.txt"
