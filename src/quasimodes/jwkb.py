@@ -34,10 +34,12 @@ Pipeline, for a potential family ``P`` and a validated anchor
    truncation) by composite Gauss-Legendre quadrature and returns a
    :class:`Certificate` whose ``lower_bound = 1/r`` bounds the
    resolvent norm at z from below.  The passes take ``ceil(P0 * 2^k)``
-   panels for k = -2 .. ``MAX_DOUBLINGS``, where ``P0 = max(64,
+   panels for k = -3 .. ``MAX_DOUBLINGS``, where ``P0 = max(64,
    ceil(8 delta / sqrt(h)))``, and stop at the first pair that agrees to
-   ``QUAD_RTOL``.  A pass takes its nodes
-   ``RESIDUAL_BLOCK`` at a time and evaluates psi first; psi', psi'' and
+   ``QUAD_RTOL``.  The first two passes share one evaluation of the
+   residual, so a certificate that ends at that pair takes one.  An
+   evaluation takes its nodes ``RESIDUAL_BLOCK`` at a time and evaluates
+   psi first; psi', psi'' and
    V_h only where exp(-psi) has not underflowed to 0, and the cutoff only
    on its seam delta/2 < |s| < delta.  Every node keeps the bits of the
    direct formula.
@@ -104,7 +106,11 @@ def _products(x, y):
     """Truncated products of the rows of x and y (x read through windows)."""
     width = x.shape[-1]
     padded = np.concatenate([np.zeros_like(x[..., 1:]), x], axis=-1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)
+    step = padded.strides[-1]  # windows[..., k, m] = padded[..., k + m]
+    windows = np.lib.stride_tricks.as_strided(
+        padded, padded.shape[:-1] + (width, width), padded.strides + (step,),
+        writeable=False,
+    )
     return np.einsum("...km,...m->...k", windows, y[..., ::-1])
 
 
@@ -531,22 +537,30 @@ def _legendre_rule():
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def _panel_quadrature(P, Q, panels):
-    """Integrals of |residual|^2, |f~|^2 and the cutoff-commutator part."""
+def _panel_quadrature(P, Q, *counts):
+    """Integrals of |residual|^2, |f~|^2 and the cutoff-commutator part,
+    one triple per panel count, from one :func:`residual_pointwise` call on
+    the nodes of all the counts: a count's nodes and weights, and so its
+    sum over its own contiguous slice, keep the bits of a call on it alone."""
     delta = Q.delta
     nodes, weights = _legendre_rule()
-    edges = np.linspace(-delta, delta, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    s = (mid[:, None] + half * nodes[None, :]).ravel()
-    w = np.broadcast_to(half * weights[None, :], (panels, PANEL_NODES)).ravel()
+    s, w = [], []
+    for panels in counts:
+        edges = np.linspace(-delta, delta, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1] - edges[0])
+        s.append((mid[:, None] + half * nodes[None, :]).ravel())
+        w.append(np.broadcast_to(half * weights, (panels, PANEL_NODES)).ravel())
+    s, w = np.concatenate(s), np.concatenate(w)
     # exp(-psi) may overflow; residual_ratio turns a non-finite pass into
     # one AccuracyError, so numpy need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(
-            float(np.sum(w * np.abs(part) ** 2))
-            for part in residual_pointwise(P, Q, s)
-        )
+        terms = [w * np.abs(part) ** 2 for part in residual_pointwise(P, Q, s)]
+    ends = np.cumsum([0, *counts]) * PANEL_NODES
+    return [
+        tuple(float(np.sum(term[lo:hi])) for term in terms)
+        for lo, hi in zip(ends, ends[1:])
+    ]
 
 
 def residual_ratio(P, Q, allow_large_h=False):
@@ -554,13 +568,16 @@ def residual_ratio(P, Q, allow_large_h=False):
 
     Computes r = ||Hf~ - z f~|| / ||f~|| by composite Gauss-Legendre
     quadrature with 16 nodes per panel and returns a :class:`Certificate`
-    with lower_bound = 1/r.  The passes take ceil(P0/4), ceil(P0/2), P0,
-    2 P0, ..., P0 * 2^MAX_DOUBLINGS panels, with P0 = max(64, ceil(8 delta
-    / sqrt(h))), and the first pass whose ||Hf~ - z f~||^2 and ||f~||^2
-    both change by at most QUAD_RTOL (relative) from the pass before ends
-    the quadrature.  Its panels are reported, and the last two passes go
-    into the AccuracyError when no pair agrees.  A pass that is not finite
-    raises AccuracyError at once.
+    with lower_bound = 1/r.  The passes take ceil(P0/8), ceil(P0/4),
+    ceil(P0/2), P0, 2 P0, ..., P0 * 2^MAX_DOUBLINGS panels, with P0 =
+    max(64, ceil(8 delta / sqrt(h))); the first two are evaluated together
+    (:func:`_panel_quadrature`), each later one alone.  The first pass whose
+    ||Hf~ - z f~||^2 and ||f~||^2 both change by at most QUAD_RTOL
+    (relative) from the pass before ends the quadrature.  Its panels are
+    reported, and the last two passes go into the AccuracyError when no
+    pair agrees.  A pass that is not finite raises AccuracyError at once,
+    and so does an h whose last pass would have more nodes than numpy can
+    allocate, before anything is evaluated.
 
     The construction's error analysis assumes h <= delta^2; by default
     larger h is rejected, but sweeps may pass ``allow_large_h=True`` to
@@ -577,11 +594,22 @@ def residual_ratio(P, Q, allow_large_h=False):
             )
         warnings.append("h_above_delta_sq")
 
-    p0 = max(64, math.ceil(8.0 * Q.delta / math.sqrt(h)))
+    base = 8.0 * Q.delta / math.sqrt(h)
+    # the last pass's float64 nodes must fit in an array numpy can allocate
+    if not base * 2.0**MAX_DOUBLINGS * PANEL_NODES * 8 <= np.iinfo(np.intp).max:
+        raise AccuracyError(
+            f"h = {h} needs more quadrature nodes than numpy can allocate"
+        )
+    p0 = max(64, math.ceil(base))
+    schedule = [math.ceil(p0 * 2.0**k) for k in range(-3, MAX_DOUBLINGS + 1)]
+    passes = (  # (panels, integrals); the first two from one evaluation
+        pair
+        for counts in [schedule[:2]] + [[panels] for panels in schedule[2:]]
+        for pair in zip(counts, _panel_quadrature(P, Q, *counts))
+    )
     prev = cur = None
-    for k in range(-2, MAX_DOUBLINGS + 1):  # P0/4 and P0/2, then the doublings
-        panels = math.ceil(p0 * 2.0**k)
-        prev, cur = cur, _panel_quadrature(P, Q, panels)
+    for panels, quad in passes:
+        prev, cur = cur, quad
         if not all(map(math.isfinite, cur[:2])):
             raise AccuracyError("quadrature is not finite", estimates=(prev, cur))
         if prev is not None:
@@ -631,11 +659,12 @@ def sweep_h(P, a, eta, n, h_list, K=None):
 
     Only the fold of the phases depends on h when no term of V_h carries
     h: then the chain is marched once, at the first h, and folded at each
-    h; otherwise it is marched once per h.  Each fold is certified through
-    :func:`select_delta` and :func:`residual_ratio`, so every certificate
-    equals that of :func:`certify` at its h.  Returns (certs, slope,
-    fit_residual) where slope is the least-squares slope of log r against
-    log h.  The expected law is r ~ h^(n+2).
+    h; otherwise it is marched once per h.  :func:`select_delta` reads only
+    the h-free rows psi_{-1}, psi_{-1}' and the coverage, so it runs once
+    per march, and each fold is certified through :func:`residual_ratio`:
+    every certificate equals that of :func:`certify` at its h.  Returns
+    (certs, slope, fit_residual) where slope is the least-squares slope of
+    log r against log h.  The expected law is r ~ h^(n+2).
     """
     h_list = list(h_list)
     if len(set(h_list)) < 3:
@@ -644,10 +673,10 @@ def sweep_h(P, a, eta, n, h_list, K=None):
     for h in h_list:
         anchor = make_anchor(P, h, a, eta)
         if chain is None or P.depends_on_h:
-            chain = _march(P, anchor, n, K)
+            chain, cutoff = _march(P, anchor, n, K), None
         pw = _fold(chain, anchor)
-        Q = Quasimode(pw, *select_delta(pw))
-        certs.append(residual_ratio(P, Q, allow_large_h=True))
+        cutoff = cutoff or select_delta(pw)
+        certs.append(residual_ratio(P, Quasimode(pw, *cutoff), allow_large_h=True))
     logs = np.log([c.h for c in certs])
     logr = np.log([c.r for c in certs])
     (slope, _), res, *_ = np.polyfit(logs, logr, 1, full=True)

@@ -1,6 +1,7 @@
 """Smoke test: the benchmark's tracer still finds the names it patches."""
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -37,8 +38,14 @@ def test_tracer_counts_segments_and_quadrature_passes():
     assert segments == 32
     assert tracer.counter("jwkb.segments")[2] == segments
     calls, _, nodes = tracer.counter("jwkb.quad_pass")
-    assert calls >= 2
-    assert tracer._pass_nodes[-1] == cert.panels * jwkb.PANEL_NODES
+    # one residual evaluation for the first two passes, ceil(P0/8) and
+    # ceil(P0/4) panels, then one per pass: the reported pass is in the last
+    p0 = max(64, math.ceil(8.0 * cert.delta / math.sqrt(anchor.h)))
+    schedule = [math.ceil(p0 * 2.0**k) for k in range(-3, jwkb.MAX_DOUBLINGS + 1)]
+    last = schedule.index(cert.panels)
+    want = [schedule[0] + schedule[1]] + schedule[2 : last + 1]
+    assert tracer._pass_nodes == [p * jwkb.PANEL_NODES for p in want]
+    assert calls == len(want) and nodes == sum(tracer._pass_nodes)
     metrics = tracer.layer_metrics()
     assert metrics["jwkb.quad_passes"][0] == calls
     assert metrics["jwkb.quad_nodes"][0] == nodes

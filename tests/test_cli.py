@@ -389,6 +389,18 @@ def test_accuracy_error_is_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error:accuracy: quadrature is not finite"]
 
 
+@pytest.mark.parametrize("h", ["1e-30", "1e-300"])
+def test_a_quadrature_too_large_to_allocate_is_an_accuracy_error(capsys, cubic_file, h):
+    code, out, err = run(
+        capsys, "quasimode", "--potential", cubic_file,
+        "--a", "1", "--eta", "1", "--h", h,
+    )
+    assert code == 4 and out == ""
+    assert err == (
+        f"error:accuracy: h = {h} needs more quadrature nodes than numpy can allocate\n"
+    )
+
+
 @pytest.mark.parametrize("case", ["missing", "potential-dir", "config-dir",
                                   "out-dir", "potential-not-utf8"])
 def test_missing_potential_file(capsys, cubic_file, tmp_path, case):

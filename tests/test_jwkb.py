@@ -524,69 +524,105 @@ def test_nonfinite_quadrature_fails_after_one_pass(monkeypatch):
     quadrature = jwkb._panel_quadrature
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[2:])
         return quadrature(*args)
 
     monkeypatch.setattr(jwkb, "_panel_quadrature", counted)
-    with pytest.raises(AccuracyError, match="not finite"):
+    with pytest.raises(AccuracyError, match="not finite") as err:
         jwkb.residual_ratio(P, Q, allow_large_h=True)
-    assert len(calls) == 1
+    assert len(calls) == 1 and err.value.estimates[0] is None  # the first pass
 
 
-def doubling_base(Q):
-    """P0 = max(64, ceil(8 delta / sqrt(h))), the panels of the first doubling."""
-    return max(64, math.ceil(8.0 * Q.delta / math.sqrt(Q.phase.anchor.h)))
+def quadrature_schedule(Q):
+    """ceil(P0 2^k) panels for k = -3 .. MAX_DOUBLINGS, with P0 = max(64,
+    ceil(8 delta / sqrt(h))) the panels of the first doubling."""
+    p0 = max(64, math.ceil(8.0 * Q.delta / math.sqrt(Q.phase.anchor.h)))
+    return [-(-p0 // 8), -(-p0 // 4), -(-p0 // 2)] + [
+        p0 * 2**j for j in range(jwkb.MAX_DOUBLINGS + 1)
+    ]
 
 
 def test_unconverged_quadrature_reports_its_last_two_passes(monkeypatch):
     Q = jwkb.build_quasimode(IX3, cubic_anchor(), 0)
-    p0 = doubling_base(Q)
-    assert p0 % 4 != 0  # so the two coarse passes round up
-    passes = []
+    schedule = quadrature_schedule(Q)
+    assert schedule[3] % 8 != 0  # so the three coarse passes round up
+    calls, passes = [], []
 
-    def drifting(P, Q, panels):  # never settles to QUAD_RTOL
-        passes.append((float(panels), 1.0, 0.0))
-        return passes[-1]
+    def drifting(P, Q, *counts):  # never settles to QUAD_RTOL
+        calls.append(counts)
+        passes.extend((float(panels), 1.0, 0.0) for panels in counts)
+        return passes[-len(counts):]
 
     monkeypatch.setattr(jwkb, "_panel_quadrature", drifting)
     with pytest.raises(AccuracyError, match="did not converge") as err:
         jwkb.residual_ratio(IX3, Q)
-    schedule = [-(-p0 // 4), -(-p0 // 2)]
-    schedule += [p0 * 2**j for j in range(jwkb.MAX_DOUBLINGS + 1)]
-    assert [p for p, _, _ in passes] == schedule
+    # the first two passes in one evaluation, then one per doubling
+    assert calls == [tuple(schedule[:2])] + [(p,) for p in schedule[2:]]
     assert err.value.estimates == tuple(passes[-2:])
 
 
-@pytest.mark.parametrize("j", [0, 3, jwkb.MAX_DOUBLINGS - 1])
+@pytest.mark.parametrize("j", [-3, -2, 0, 3, jwkb.MAX_DOUBLINGS - 1])
 def test_a_pair_of_doublings_that_agrees_still_ends_the_quadrature(monkeypatch, j):
-    # the passes agree only at (P0 2^j, P0 2^(j+1)): the two coarse passes
-    # in front of the doublings must not change where the quadrature ends
+    # the passes agree only at (ceil(P0 2^j), ceil(P0 2^(j+1))): the coarse
+    # pairs (ceil(P0/8), ceil(P0/4)) and (ceil(P0/4), ceil(P0/2)) and the
+    # pairs of doublings each end the quadrature at their second pass
     Q = jwkb.build_quasimode(IX3, cubic_anchor(), 0)
-    p0 = doubling_base(Q)
-    passes = []
+    schedule = quadrature_schedule(Q)
+    i = j + 3  # schedule[i] has ceil(P0 2^j) panels
+    calls = []
 
-    def settling(P, Q, panels):
-        passes.append(panels)
-        return (4.0, 1.0, 0.5) if panels >= p0 * 2**j else (float(panels), 1.0, 0.0)
+    def settling(P, Q, *counts):
+        calls.append(counts)
+        return [
+            (4.0, 1.0, 0.5) if panels >= schedule[i] else (float(panels), 1.0, 0.0)
+            for panels in counts
+        ]
 
     monkeypatch.setattr(jwkb, "_panel_quadrature", settling)
     cert = jwkb.residual_ratio(IX3, Q)
-    assert passes == [-(-p0 // 4), -(-p0 // 2)] + [p0 * 2**i for i in range(j + 2)]
-    assert cert.panels == p0 * 2 ** (j + 1)
+    assert calls == [tuple(schedule[:2])] + [(p,) for p in schedule[2 : i + 2]]
+    assert cert.panels == schedule[i + 1]
     assert (cert.r, cert.diagnostics["cutoff_term_sq"]) == (2.0, 0.5)
+
+
+LADDER_CASES = pytest.mark.parametrize(
+    "P, a, eta", [(IX, 0.0, 1.0), (IX3, 1.0, 1.0), (X4, 1.0, 1.0)], ids=["ix", "ix3", "x4"]
+)
 
 
 @pytest.mark.parametrize("n", [0, 2])
 @pytest.mark.parametrize("h", [0.2, 0.025, 0.00625])
-@pytest.mark.parametrize(
-    "P, a, eta", [(IX, 0.0, 1.0), (IX3, 1.0, 1.0), (X4, 1.0, 1.0)], ids=["ix", "ix3", "x4"]
-)
+@LADDER_CASES
+def test_one_evaluation_of_two_passes_keeps_the_bits_of_each(P, a, eta, h, n):
+    Q = jwkb.build_quasimode(P, make_anchor(P, h, a, eta), n)
+    counts = quadrature_schedule(Q)[:2]
+    together = jwkb._panel_quadrature(P, Q, *counts)
+    alone = [jwkb._panel_quadrature(P, Q, panels)[0] for panels in counts]
+    assert together == alone
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("h", [0.2, 0.025, 0.00625])
+@LADDER_CASES
 def test_r_agrees_with_a_pass_at_eight_times_its_panels(P, a, eta, h, n):
     # a coarse pair of passes must not agree on a value the quadrature
     # has not reached
     cert = jwkb.certify(P, make_anchor(P, h, a, eta), n, allow_large_h=True)
-    num, den, _ = jwkb._panel_quadrature(P, cert.quasimode, 8 * cert.panels)
+    ((num, den, _),) = jwkb._panel_quadrature(P, cert.quasimode, 8 * cert.panels)
     assert cert.r == pytest.approx(math.sqrt(num / den), rel=jwkb.QUAD_RTOL, abs=0)
+
+
+@pytest.mark.parametrize("h", [1e-30, 1e-300])
+def test_a_quadrature_too_large_to_allocate_fails_before_evaluating(monkeypatch, h):
+    Q = jwkb.build_quasimode(IX3, cubic_anchor(h), 0)
+
+    def evaluated(*args):
+        raise AssertionError("the schedule was evaluated")
+
+    monkeypatch.setattr(jwkb, "_panel_quadrature", evaluated)
+    monkeypatch.setattr(jwkb, "residual_pointwise", evaluated)
+    with pytest.raises(AccuracyError, match="numpy can allocate"):
+        jwkb.residual_ratio(IX3, Q)
 
 
 def test_order_must_be_nonnegative():
@@ -622,17 +658,23 @@ def test_sweep_h_slope_increases_with_order():
     ],
 )
 def test_sweep_h_marches_once_unless_v_carries_h(monkeypatch, P, a, eta, marches):
+    # select_delta reads only h-free rows, so it runs once per march too
     hs = [0.05, 0.025, 0.0125]
-    calls = []
-    march = jwkb._march
+    calls = {"_march": 0, "select_delta": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return march(*args)
+    def counted(name):
+        original = getattr(jwkb, name)
 
-    monkeypatch.setattr(jwkb, "_march", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(jwkb, name, counted(name))
     certs, _, _ = jwkb.sweep_h(P, a, eta, 1, hs)
-    assert len(calls) == marches
+    assert calls == {"_march": marches, "select_delta": marches}
     monkeypatch.undo()
     for h, cert in zip(hs, certs):
         ref = jwkb.certify(P, make_anchor(P, h, a, eta), 1, allow_large_h=True)
