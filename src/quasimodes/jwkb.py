@@ -28,7 +28,9 @@ Pipeline, for a potential family ``P`` and a validated anchor
    :func:`sweep_h` folds one march at every h when V_h has no h term.
 3. :func:`select_delta` chooses delta on a ``GAMMA_GRID``-point grid and
    certifies gamma with ``gamma*s^2 <= Re psi_{-1}(s)`` and a bound on
-   ``|rho|`` on ``[-delta, delta]``.
+   ``|rho|`` on ``[-delta, delta]``.  Re psi_{-1} comes from one real
+   Horner pass over the chain, and ``|rho| = 1/(2 |V_h - z|^(1/2))`` from
+   the eikonal equation ``psi_{-1}'^2 = V_h - z`` with the exact potential.
 4. :func:`residual_ratio` evaluates the exact pointwise residual of
    ``f~ = cutoff * exp(-psi)`` (with the true potential, not a Taylor
    truncation) by composite Gauss-Legendre quadrature and returns a
@@ -365,8 +367,9 @@ class Quasimode:
         return out.reshape(np.shape(s))
 
 
-def select_delta(pw):
-    """Choose the cutoff radius and certify the concentration rate.
+def select_delta(P, pw):
+    """Choose the cutoff radius and certify the concentration rate of the
+    phase ``pw`` of the family ``P``.
 
     The grid has ``GAMMA_GRID`` points over ``SPAN_SHARE`` of the nearer
     wall: the nearest of ``DEFAULT_SPAN``, the domain edge and a real branch
@@ -377,7 +380,13 @@ def select_delta(pw):
     maximizes the smallest Re psi_{-1} on the cutoff seam delta/2 <= |s| <=
     delta, which controls the exp(-Re psi_{-1}/h) suppression of the cutoff
     commutator.  gamma and the bound beta on |rho| come from the same
-    samples within [-delta, delta].  Returns (delta, gamma, beta).
+    samples within [-delta, delta].  Each quantity is read from its
+    cheapest exact source: Re psi_{-1} from one real Horner pass over the
+    real parts of the psi_{-1} rows (the bits of the complex pass's real
+    part), and |2 psi_{-1}'| = 2 |V_h(a+s) - z|^(1/2) from the eikonal
+    equation and the exact potential, which the grid cannot leave since
+    it stays within ``SPAN_SHARE`` of the domain edge.  Returns (delta,
+    gamma, beta).
     """
     lo, hi = pw.coverage
     span = SPAN_SHARE * min(-lo, hi)
@@ -386,10 +395,10 @@ def select_delta(pw):
     half = GAMMA_GRID // 2
     x = span * np.arange(1, half + 1) / half
     s = np.concatenate([-x[::-1], x])
-    v, d1 = pw.leading_at(s)
-    re = v.real
+    (re,) = pw._eval(s, pw.segments[:, 0].real)
     q = re / s**2
-    dp = np.abs(2.0 * d1)
+    anchor = pw.anchor
+    dp = 2.0 * np.sqrt(np.abs(P.eval_many(anchor.h, anchor.a + s) - anchor.z))
     # symmetric prefix condition: both sides admissible out to index k
     q_sym = np.minimum(q[half:], q[half - 1 :: -1])
     dp_sym = np.minimum(dp[half:], dp[half - 1 :: -1])
@@ -417,7 +426,7 @@ def select_delta(pw):
 def build_quasimode(P, anchor, n, K=None):
     """Full construction: continued phases plus certified (delta, gamma)."""
     pw = build_piecewise(P, anchor, n, K)
-    return Quasimode(pw, *select_delta(pw))
+    return Quasimode(pw, *select_delta(P, pw))
 
 
 # -- residual quadrature --------------------------------------------------
@@ -660,11 +669,12 @@ def sweep_h(P, a, eta, n, h_list, K=None):
     Only the fold of the phases depends on h when no term of V_h carries
     h: then the chain is marched once, at the first h, and folded at each
     h; otherwise it is marched once per h.  :func:`select_delta` reads only
-    the h-free rows psi_{-1}, psi_{-1}' and the coverage, so it runs once
-    per march, and each fold is certified through :func:`residual_ratio`:
-    every certificate equals that of :func:`certify` at its h.  Returns
-    (certs, slope, fit_residual) where slope is the least-squares slope of
-    log r against log h.  The expected law is r ~ h^(n+2).
+    psi_{-1}, V_h - z and the coverage, all h-free when no term of V_h
+    carries h, so it runs once per march, and each fold is certified
+    through :func:`residual_ratio`: every certificate equals that of
+    :func:`certify` at its h.  Returns (certs, slope, fit_residual) where
+    slope is the least-squares slope of log r against log h.  The
+    expected law is r ~ h^(n+2).
     """
     h_list = list(h_list)
     if len(set(h_list)) < 3:
@@ -675,7 +685,7 @@ def sweep_h(P, a, eta, n, h_list, K=None):
         if chain is None or P.depends_on_h:
             chain, cutoff = _march(P, anchor, n, K), None
         pw = _fold(chain, anchor)
-        cutoff = cutoff or select_delta(pw)
+        cutoff = cutoff or select_delta(P, pw)
         certs.append(residual_ratio(P, Quasimode(pw, *cutoff), allow_large_h=True))
     logs = np.log([c.h for c in certs])
     logr = np.log([c.r for c in certs])

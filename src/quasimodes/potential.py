@@ -15,6 +15,7 @@ sign is flipped with a recorded warning rather than rejected.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -206,19 +207,30 @@ class Anchor:
     warnings: tuple = field(default_factory=tuple)
 
 
+def anchor_values(P, h, a):
+    """(V_h'(a), V_h(a)), or :class:`UsageError` when either overflows
+    (numpy's warnings silenced, so that the error is the one report)."""
+    with np.errstate(all="ignore"):
+        dv, v = P.deriv(h, a), P.eval(h, a)
+    if not (cmath.isfinite(dv) and cmath.isfinite(v)):
+        raise UsageError(f"V_h(a) or V_h'(a) is not finite at a = {a}")
+    return dv, v
+
+
 def make_anchor(P, h, a, eta):
     """Build a validated :class:`Anchor` for the family ``P``.
 
-    Raises :class:`UsageError` unless a, eta and h > 0 are finite, and
-    :class:`DegenerateAnchorError` when Im V_h'(a) vanishes or eta = 0.
-    When sign(eta) differs from sign(Im V_h'(a)) the sign is flipped and
-    ``"eta_sign_flipped"`` recorded in the warnings.
+    Raises :class:`UsageError` unless a, eta and h > 0 are finite and so
+    are V_h(a), V_h'(a) and z, and :class:`DegenerateAnchorError` when
+    Im V_h'(a) vanishes or eta = 0.  When sign(eta) differs from
+    sign(Im V_h'(a)) the sign is flipped and ``"eta_sign_flipped"``
+    recorded in the warnings.
     """
     if not (0 < h < math.inf and math.isfinite(a) and math.isfinite(eta)):
         raise UsageError(f"need finite a, eta and h > 0, got {a}, {eta}, {h}")
     if eta == 0:
         raise DegenerateAnchorError("eta = 0 is not admissible")
-    dv = P.deriv(h, a)
+    dv, v = anchor_values(P, h, a)
     if im_deriv_vanishes(dv):
         raise DegenerateAnchorError(
             f"Im V_h'(a) = {dv.imag:.3e} vanishes at a = {a}"
@@ -227,7 +239,9 @@ def make_anchor(P, h, a, eta):
     if (eta > 0) != (dv.imag > 0):
         eta = -eta
         warnings = ("eta_sign_flipped",)
-    z = eta * eta + P.eval(h, a)
+    z = eta * eta + v
+    if not cmath.isfinite(z):
+        raise UsageError(f"z = eta^2 + V_h(a) is not finite at a = {a}, eta = {eta}")
     return Anchor(a=float(a), eta=float(eta), h=float(h), z=z, warnings=warnings)
 
 

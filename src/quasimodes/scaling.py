@@ -32,6 +32,7 @@ from .errors import (
 from .potential import (
     HALF_LINE,
     PotentialFamily,
+    anchor_values,
     im_deriv_vanishes,
     make_anchor,
     validate_anchor,
@@ -172,7 +173,8 @@ def region_U(P, h, a_grid, eta_grid):
     """Sample the instability region {eta^2 + V_h(a) : Im V_h'(a) != 0}.
 
     Returns (z, a, eta) triples in grid order; points that make_anchor
-    rejects (Im V_h'(a) vanishes, or eta = 0) are dropped.
+    rejects (Im V_h'(a) vanishes, eta = 0, or V_h(a), V_h'(a) or z is not
+    finite) are dropped.
     """
     a_grid = list(a_grid)
     eta_grid = [e for e in eta_grid if e != 0]
@@ -182,11 +184,16 @@ def region_U(P, h, a_grid, eta_grid):
     for a in a_grid:
         if a <= P.x_min:
             continue
-        if im_deriv_vanishes(P.deriv(h, a)):
+        try:
+            dv, v = anchor_values(P, h, a)
+        except UsageError:
             continue
-        v = P.eval(h, a)
+        if im_deriv_vanishes(dv):
+            continue
         for eta in eta_grid:
-            out.append((eta * eta + v, a, eta))
+            z = eta * eta + v
+            if cmath.isfinite(z):
+                out.append((z, a, eta))
     return out
 
 

@@ -168,14 +168,17 @@ def horner(table, rows, t):
 
     ``rows`` is one row index or one per point, and ``t`` one point or an
     array; the result has their broadcast shape (a numpy scalar when both
-    are scalars).  Sums from the top degree down, as ``np.polyval`` does:
-    t is cast to complex once, and each degree gathers its coefficients
-    with a 1-d ``take`` from one contiguous column of the transposed table
-    and updates the sum in place."""
+    are scalars).  Sums from the top degree down, as ``np.polyval`` does,
+    in ``np.result_type(table, t)``: a complex table casts t to complex
+    once, and a real table at real t stays real, with the bits of the
+    real part of the complex sum (at real t the imaginary parts meet only
+    t's zero imaginary part).  Each degree gathers its coefficients with
+    a 1-d ``take`` from one contiguous column of the transposed table and
+    updates the sum in place."""
     cols = np.ascontiguousarray(table.T)  # (degree, row)
     rows = np.asarray(rows)
-    tc = np.asarray(t, dtype=complex)
-    y = np.zeros(np.broadcast_shapes(rows.shape, tc.shape), dtype=complex)
+    tc = np.asarray(t, dtype=np.result_type(cols, t))
+    y = np.zeros(np.broadcast_shapes(rows.shape, tc.shape), dtype=tc.dtype)
     y += cols[-1].take(rows)
     for col in cols[-2::-1]:
         y *= tc

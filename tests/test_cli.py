@@ -253,9 +253,15 @@ def test_usage_error_is_one_line(capsys, cubic_file, tmp_path, command, options,
         ["sweep-h", "--a", "1", "--eta", "1", "--h-list", "0.1,0.1,0.1"],
         ["high-energy", "--z-re", "0.92", "--z-im", "0.38", "--sigma-list", "nan"],
         ["high-energy", "--z-re", "0.92", "--z-im", "0.38", "--sigma-list", "inf"],
+        # finite numbers whose potential or energy overflows
+        ["quasimode", "--a", "1e200", "--eta", "1", "--h", "0.1"],
+        ["quasimode", "--a", "1", "--eta", "1e200", "--h", "0.1"],
+        ["sweep-h", "--a", "1", "--eta", "1e200", "--h-list", "0.1,0.05,0.025"],
+        ["validate", "--a", "1", "--eta", "1e200", "--h", "0.1"],
     ],
     ids=["h-zero", "h-list-zero", "validate-h-zero", "h-nan", "a-nan", "eta-nan",
-         "z-nan", "eta-inf", "h-list-repeated", "sigma-nan", "sigma-inf"],
+         "z-nan", "eta-inf", "h-list-repeated", "sigma-nan", "sigma-inf",
+         "a-overflows", "z-overflows", "sweep-z-overflows", "validate-z-overflows"],
 )
 def test_bad_number_is_one_usage_line(capsys, tmp_path, argv):
     path = tmp_path / "family.txt"

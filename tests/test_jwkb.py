@@ -418,7 +418,7 @@ def test_cutoff_plateau_support_and_smoothness():
 
 def test_select_delta_certifies_concentration():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
-    delta, gamma, beta = jwkb.select_delta(pw)
+    delta, gamma, beta = jwkb.select_delta(IX3, pw)
     assert delta > 0 and gamma > 0 and beta > 0
     s = np.linspace(-delta, delta, 401)
     s = s[s != 0]
@@ -429,16 +429,29 @@ def test_select_delta_certifies_concentration():
     assert np.all(np.abs(2 * d1) >= 0.95 / beta)
 
 
-def brute_force_delta(pw):
-    """(delta, gamma, beta) with the seam minimum taken slice by slice."""
+def delta_grid(pw):
+    """select_delta's grid: (its positive half x, all of it s)."""
     lo, hi = pw.coverage
     span = 0.98 * min(-lo, hi)
     half = jwkb.GAMMA_GRID // 2
     x = span * np.arange(1, half + 1) / half
-    s = np.concatenate([-x[::-1], x])
-    v, d1 = pw.leading_at(s)
+    return x, np.concatenate([-x[::-1], x])
+
+
+def eikonal_dp(P, pw, s):
+    """|2 psi_{-1}'(s)| = 2 |V_h(a+s) - z|^(1/2), from the exact potential."""
+    anchor = pw.anchor
+    return 2.0 * np.sqrt(np.abs(P.eval_many(anchor.h, anchor.a + s) - anchor.z))
+
+
+def brute_force_delta(P, pw):
+    """(delta, gamma, beta) with the seam minimum taken slice by slice,
+    and Re psi_{-1} from the complex evaluation of the chain."""
+    x, s = delta_grid(pw)
+    half = x.size
+    v, _ = pw.leading_at(s)
     q = v.real / s**2
-    dp = np.abs(2.0 * d1)
+    dp = eikonal_dp(P, pw, s)
     q_sym = np.minimum(q[half:], q[half - 1 :: -1])
     dp_sym = np.minimum(dp[half:], dp[half - 1 :: -1])
     re_sym = np.minimum(v.real[half:], v.real[half - 1 :: -1])
@@ -461,7 +474,12 @@ def test_select_delta_matches_brute_force(P, a, eta):
     for n in (0, 2):
         for h in (0.5, 0.05, 0.00625):
             pw = jwkb.build_piecewise(P, make_anchor(P, h, a, eta), n)
-            assert jwkb.select_delta(pw) == brute_force_delta(pw)
+            assert jwkb.select_delta(P, pw) == brute_force_delta(P, pw)
+            # the chain's psi_{-1}' solves the eikonal equation on the grid
+            _, s = delta_grid(pw)
+            series_dp = np.abs(2.0 * pw.leading_at(s)[1])
+            exact_dp = eikonal_dp(P, pw, s)
+            assert np.all(abs(series_dp - exact_dp) <= 1e-11 * exact_dp)
 
 
 def test_quasimode_values_peak_at_anchor():

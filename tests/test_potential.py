@@ -213,7 +213,9 @@ def test_anchor_rejects_degenerate():
     "h, a, eta",
     [(0.0, 1.0, 1.0), (-0.1, 1.0, 1.0), (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0),
      (0.05, np.nan, 1.0), (0.05, np.inf, 1.0), (0.05, 1.0, np.nan),
-     (0.05, 1.0, -np.inf)],
+     (0.05, 1.0, -np.inf),
+     # finite inputs whose V_h(a), V_h'(a) or z = eta^2 + V_h(a) overflows
+     (0.05, 1e200, 1.0), (0.05, 1.0, 1e200), (0.05, 1.0, -1e200)],
 )
 def test_make_anchor_needs_finite_values_and_positive_h(h, a, eta):
     with pytest.raises(UsageError):

@@ -155,6 +155,12 @@ def test_region_U_drops_degenerate_points():
     assert scaling.region_U(near_real, 0.05, [1.0], [1.0]) == []
     with pytest.raises(DegenerateAnchorError):
         make_anchor(near_real, 0.05, 1.0, 1.0)
+    # V_h(1e200) and z = (1e200)^2 + V_h(1) overflow: make_anchor rejects both
+    pts = scaling.region_U(IX3, 0.05, [1.0, 1e200], [1.0, 1e200])
+    assert pts == [(make_anchor(IX3, 0.05, 1.0, 1.0).z, 1.0, 1.0)]
+    for a, eta in ((1e200, 1.0), (1.0, 1e200)):
+        with pytest.raises(UsageError):
+            make_anchor(IX3, 0.05, a, eta)
 
 
 def test_highenergy_lower_bound_sector_enforced():

@@ -150,10 +150,12 @@ def test_eval_d2_against_finite_differences():
 
 
 def horner_per_point(table, row, t):
-    # one point at a time in Python complex arithmetic, top degree first
-    y = complex(table[row, -1]) + 0j
+    # one point at a time in Python arithmetic, complex for a complex table
+    # and float for a real one, top degree first
+    kind = complex if np.iscomplexobj(table) else float
+    y = kind(table[row, -1])
     for c in table[row, -2::-1]:
-        y = y * complex(t) + complex(c)
+        y = y * kind(t) + kind(c)
     return y
 
 
@@ -161,20 +163,24 @@ def horner_per_point(table, row, t):
 @pytest.mark.parametrize("t_kind", ["scalar", "array", "empty"])
 def test_horner_matches_a_per_point_loop(rows_kind, t_kind):
     rng = np.random.default_rng(11)
-    table = rng.standard_normal((5, 13)) + 1j * rng.standard_normal((5, 13))
+    full = rng.standard_normal((5, 13)) + 1j * rng.standard_normal((5, 13))
     t = {"scalar": 0.7, "array": rng.uniform(-1.5, 1.5, 40),
          "empty": np.zeros(0)}[t_kind]
     count = np.size(t) if np.ndim(t) else 40
     rows = 3 if rows_kind == "scalar" else rng.integers(0, 5, count)
-    got = horner(table, rows, t)
     shape = np.broadcast_shapes(np.shape(rows), np.shape(t))
-    assert np.shape(got) == shape
     r, x = np.broadcast_arrays(rows, t)
-    ref = np.array([horner_per_point(table, i, v)
-                    for i, v in zip(r.ravel(), x.ravel())], dtype=complex)
-    assert same_bits(got, ref.reshape(shape))
-    if shape == ():
-        assert isinstance(got, np.complexfloating)
+    # a real table is a strided view, as the real parts of a complex one are
+    for table in (full, full.real):
+        got = horner(table, rows, t)
+        assert np.shape(got) == shape and np.asarray(got).dtype == table.dtype
+        ref = np.array([horner_per_point(table, i, v)
+                        for i, v in zip(r.ravel(), x.ravel())], dtype=table.dtype)
+        assert same_bits(got, ref.reshape(shape))
+        if shape == ():
+            assert isinstance(got, table.dtype.type)  # a numpy scalar
+    # the real sum has the bits of the complex sum's real part
+    assert same_bits(got, np.real(horner(full, rows, t)))
 
 
 coeff = st.complex_numbers(
