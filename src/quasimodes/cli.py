@@ -225,15 +225,17 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, formats, help):
-        """Subcommand with the options every subcommand takes; no option may
-        be abbreviated, so a config key is a whole option name."""
+    def command(name, func, formats, help, certifies=True):
+        """Subcommand with the options every subcommand takes, and --order
+        and --trunc when it ``certifies``; no option may be abbreviated, so
+        a config key is a whole option name."""
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.add_argument("--potential", required=True, help="potential family file")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=formats, default=formats[0])
-        sp.add_argument("--order", type=int, default=0, help="JWKB order n")
-        sp.add_argument("--trunc", type=int, help="series degree K")
+        if certifies:
+            sp.add_argument("--order", type=int, default=0, help="JWKB order n")
+            sp.add_argument("--trunc", type=int, help="series degree K")
         sp.add_argument("--config", help="file of key = value lines, as --key=value")
         sp.set_defaults(func=func)
         return sp
@@ -256,7 +258,8 @@ def build_parser():
     _options(sp, ("a", "eta"), required=True)
     sp.add_argument("--h-list", type=_float_list, default=DEFAULT_H_LIST)
 
-    sp = command("region", cmd_region, ("csv",), "sample the instability region U")
+    sp = command("region", cmd_region, ("csv",), "sample the instability region U",
+                 certifies=False)
     _options(sp, ("h", "a-min", "a-max", "eta-min", "eta-max"), required=True)
     _options(sp, ("a-count", "eta-count"), type=int, required=True)
 

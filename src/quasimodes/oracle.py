@@ -41,8 +41,8 @@ class Discretization:
     n_interior: int
 
     def __post_init__(self):
-        if self.x_hi <= self.x_lo:
-            raise UsageError("need x_lo < x_hi")
+        if not -math.inf < self.x_lo < self.x_hi < math.inf:
+            raise UsageError(f"need finite x_lo < x_hi, got {self.x_lo}, {self.x_hi}")
         if self.n_interior < 3:
             raise UsageError("need at least 3 interior points")
 

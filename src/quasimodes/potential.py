@@ -9,8 +9,9 @@ points lie above the domain edge ``PotentialFamily.x_min``.
 
 The module also defines the :class:`Anchor`: the data (a, eta, h, z)
 with z = eta^2 + V_h(a), Im V_h'(a) != 0 and sign(eta) = sign(Im V_h'(a)).
-Anchors are validated on construction; a user-supplied eta of the wrong
-sign is flipped with a recorded warning rather than rejected.
+An ``Anchor`` checks its own fields when built, :func:`anchor_values` the
+family's conditions at a; :func:`make_anchor` calls both, and flips a
+user-supplied eta of the wrong sign with a recorded warning.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ ANCHOR_RTOL = 1e-12
 MAX_DENOMINATOR = 12
 
 
-def im_deriv_vanishes(dv):
-    """True when Im V'(a) = ``dv.imag`` counts as zero: the anchor is degenerate."""
-    return abs(dv.imag) <= IM_DERIV_TOL * (1.0 + abs(dv))
-
-
 def _is_nonneg_int(p):
     return p >= 0 and float(p).is_integer()
 
@@ -62,6 +58,8 @@ class PotentialFamily:
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise UsageError("exponents p_m must be strictly increasing")
         for c, p, e in terms:
+            if not all(map(cmath.isfinite, (c, p, e))):
+                raise UsageError(f"term ({c}, {p}, {e}) is not finite")
             if e < 0:
                 raise UsageError(f"h-exponent {e} < 0")
             if self.domain == FULL_LINE and not _is_nonneg_int(p):
@@ -196,9 +194,16 @@ def load_potential(path):
 # -- anchors --------------------------------------------------------------
 
 
+def check_h(h):
+    """Raise :class:`UsageError` unless 0 < h < inf."""
+    if not 0 < h < math.inf:
+        raise UsageError(f"need finite h > 0, got {h}")
+
+
 @dataclass(frozen=True)
 class Anchor:
-    """Expansion point data (a, eta, h, z) with z = eta^2 + V_h(a)."""
+    """Expansion point data (a, eta, h, z) with z = eta^2 + V_h(a); building
+    one refuses a non-finite field, h <= 0 and eta = 0."""
 
     a: float
     eta: float
@@ -206,55 +211,52 @@ class Anchor:
     z: complex
     warnings: tuple = field(default_factory=tuple)
 
+    def __post_init__(self):
+        check_h(self.h)
+        if not all(map(cmath.isfinite, (self.a, self.eta, self.z))):
+            raise UsageError(f"need finite a, eta, z, got {self.a}, {self.eta}, {self.z}")
+        if self.eta == 0:
+            raise DegenerateAnchorError("eta = 0 is not admissible")
+
 
 def anchor_values(P, h, a):
-    """(V_h'(a), V_h(a)), or :class:`UsageError` when either overflows
-    (numpy's warnings silenced, so that the error is the one report)."""
+    """(V_h'(a), V_h(a)) for 0 < h < inf and a in the domain, both finite
+    (numpy's warnings silenced, so that the error is the one report) and
+    Im V_h'(a) != 0."""
+    check_h(h)
     with np.errstate(all="ignore"):
         dv, v = P.deriv(h, a), P.eval(h, a)
     if not (cmath.isfinite(dv) and cmath.isfinite(v)):
         raise UsageError(f"V_h(a) or V_h'(a) is not finite at a = {a}")
+    if abs(dv.imag) <= IM_DERIV_TOL * (1.0 + abs(dv)):
+        raise DegenerateAnchorError(
+            f"Im V_h'(a) = {dv.imag:.3e} vanishes at a = {a}"
+        )
     return dv, v
 
 
 def make_anchor(P, h, a, eta):
-    """Build a validated :class:`Anchor` for the family ``P``.
-
-    Raises :class:`UsageError` unless a, eta and h > 0 are finite and so
-    are V_h(a), V_h'(a) and z, and :class:`DegenerateAnchorError` when
-    Im V_h'(a) vanishes or eta = 0.  When sign(eta) differs from
-    sign(Im V_h'(a)) the sign is flipped and ``"eta_sign_flipped"``
-    recorded in the warnings.
+    """Build a validated :class:`Anchor` for the family ``P``: the checks
+    of :func:`anchor_values` at a, then of the ``Anchor`` itself.  When
+    sign(eta) differs from sign(Im V_h'(a)) the sign is flipped and
+    ``"eta_sign_flipped"`` recorded in the warnings.
     """
-    if not (0 < h < math.inf and math.isfinite(a) and math.isfinite(eta)):
-        raise UsageError(f"need finite a, eta and h > 0, got {a}, {eta}, {h}")
-    if eta == 0:
-        raise DegenerateAnchorError("eta = 0 is not admissible")
     dv, v = anchor_values(P, h, a)
-    if im_deriv_vanishes(dv):
-        raise DegenerateAnchorError(
-            f"Im V_h'(a) = {dv.imag:.3e} vanishes at a = {a}"
-        )
     warnings = ()
     if (eta > 0) != (dv.imag > 0):
         eta = -eta
         warnings = ("eta_sign_flipped",)
-    z = eta * eta + v
-    if not cmath.isfinite(z):
-        raise UsageError(f"z = eta^2 + V_h(a) is not finite at a = {a}, eta = {eta}")
-    return Anchor(a=float(a), eta=float(eta), h=float(h), z=z, warnings=warnings)
+    return Anchor(a=float(a), eta=float(eta), h=float(h), z=eta * eta + v,
+                  warnings=warnings)
 
 
 def validate_anchor(P, anchor):
-    """Re-check all anchor invariants; raises on violation."""
-    dv = P.deriv(anchor.h, anchor.a)
-    if im_deriv_vanishes(dv):
-        raise DegenerateAnchorError("Im V_h'(a) vanishes")
-    if anchor.eta == 0:
-        raise DegenerateAnchorError("eta = 0")
-    if (anchor.eta > 0) != (dv.imag > 0):
+    """Rebuild ``anchor`` with :func:`make_anchor` and compare; raises
+    :class:`DegenerateAnchorError` when sign(eta) != sign(Im V_h'(a)) and
+    :class:`UsageError` when z is not eta^2 + V_h(a)."""
+    ref = make_anchor(P, anchor.h, anchor.a, anchor.eta)
+    if ref.warnings:
         raise DegenerateAnchorError("sign(eta) != sign(Im V_h'(a))")
-    z_ref = anchor.eta**2 + P.eval(anchor.h, anchor.a)
-    if abs(anchor.z - z_ref) > ANCHOR_RTOL * max(1.0, abs(z_ref)):
+    if abs(anchor.z - ref.z) > ANCHOR_RTOL * max(1.0, abs(ref.z)):
         raise UsageError("anchor energy does not satisfy z = eta^2 + V_h(a)")
     return True

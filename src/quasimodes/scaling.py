@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jwkb
 from .errors import (
+    DegenerateAnchorError,
     DomainError,
     InfeasibleEnergyError,
     NoAnchorError,
@@ -31,11 +32,10 @@ from .errors import (
 )
 from .potential import (
     HALF_LINE,
+    Anchor,
     PotentialFamily,
     anchor_values,
-    im_deriv_vanishes,
-    make_anchor,
-    validate_anchor,
+    check_h,
 )
 
 #: half-width of the anchor scan around 0, widened by |a_init| for a guess
@@ -139,13 +139,14 @@ def solve_anchor(P, h, z, a_init=None):
     the roots and bisection refines each to the last bits.  The root
     nearest ``a_init`` is kept, or without a guess the one with the
     largest |Im V_h'(a)|; ``alternative_roots:k`` counts the others.  The
-    remaining conditions are Re z - Re V_h(a) > 0 (fixing eta =
-    sign(Im V_h'(a)) * sqrt(...)) and Im V_h'(a) != 0.  A non-finite z,
-    guess or h, or h <= 0, raises :class:`UsageError`.
+    root must pass :func:`anchor_values`, and Re z - Re V_h(a) > 0 fixes
+    eta = sign(Im V_h'(a)) * sqrt(...).  A non-finite z, guess or h, or
+    h <= 0, raises :class:`UsageError`.
     """
     z = complex(z)
-    if not (0 < h < math.inf and cmath.isfinite(z) and math.isfinite(a_init or 0.0)):
-        raise UsageError(f"need finite z, a_init and h > 0, got {z}, {a_init}, {h}")
+    check_h(h)
+    if not (cmath.isfinite(z) and math.isfinite(a_init or 0.0)):
+        raise UsageError(f"need finite z and a_init, got {z}, {a_init}")
     if a_init is not None and a_init <= P.x_min:
         raise DomainError(f"guess a = {a_init} outside the half-line domain")
     roots = _scan_roots(P, h, z.imag, SCAN_HALF_WIDTH + abs(a_init or 0.0))
@@ -155,40 +156,34 @@ def solve_anchor(P, h, z, a_init=None):
         root = max(roots, key=lambda a: abs(P.deriv(h, a).imag))
     else:
         root = min(roots, key=lambda a: abs(a - a_init))
-    re_gap = z.real - P.eval(h, root).real
+    dv, v = anchor_values(P, h, root)
+    re_gap = z.real - v.real
     if re_gap <= 0:
         raise InfeasibleEnergyError(
             f"Re z - Re V_h(a) = {re_gap:.3e} <= 0 at a = {root:.6g}"
         )
-    eta = math.copysign(math.sqrt(re_gap), P.deriv(h, root).imag)
-    anchor = make_anchor(P, h, root, eta)
-    if len(roots) > 1:
-        extra = (f"alternative_roots:{len(roots) - 1}",)
-        anchor = replace(anchor, warnings=anchor.warnings + extra)
-    validate_anchor(P, anchor)
-    return anchor
+    eta = math.copysign(math.sqrt(re_gap), dv.imag)
+    extra = (f"alternative_roots:{len(roots) - 1}",) if len(roots) > 1 else ()
+    return Anchor(a=float(root), eta=eta, h=float(h), z=eta * eta + v, warnings=extra)
 
 
 def region_U(P, h, a_grid, eta_grid):
     """Sample the instability region {eta^2 + V_h(a) : Im V_h'(a) != 0}.
 
-    Returns (z, a, eta) triples in grid order; points that make_anchor
-    rejects (Im V_h'(a) vanishes, eta = 0, or V_h(a), V_h'(a) or z is not
-    finite) are dropped.
+    Returns (z, a, eta) triples in grid order, dropping the points that
+    make_anchor rejects (a that :func:`anchor_values` refuses, eta = 0 or
+    z not finite); an h it rejects raises :class:`UsageError`.
     """
+    check_h(h)
     a_grid = list(a_grid)
     eta_grid = [e for e in eta_grid if e != 0]
     if not a_grid or not eta_grid:
         raise UsageError("grids must be nonempty (eta grid excludes 0)")
     out = []
     for a in a_grid:
-        if a <= P.x_min:
-            continue
         try:
-            dv, v = anchor_values(P, h, a)
-        except UsageError:
-            continue
-        if im_deriv_vanishes(dv):
+            _, v = anchor_values(P, h, a)
+        except (UsageError, DegenerateAnchorError):
             continue
         for eta in eta_grid:
             z = eta * eta + v

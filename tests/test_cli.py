@@ -14,6 +14,9 @@ CUBIC = "domain: line\n0 1 3 0\n"
 QUARTIC = "domain: line\n1 1 4 0\n"
 REAL = "domain: line\n1 0 2 0\n"
 HALFLINE = "domain: halfline\n1 0 -2 0\n1 1 2 0\n"
+#: a region call but for --potential and --h
+REGION = ["region", "--a-min", "0.5", "--a-max", "1.5", "--a-count", "3",
+          "--eta-min", "-1", "--eta-max", "1", "--eta-count", "2"]
 
 
 @pytest.fixture
@@ -140,6 +143,22 @@ def test_region(capsys, cubic_file):
     assert len(lines) == 1 + 3 * 2
 
 
+def test_region_with_one_a(capsys, cubic_file):
+    code, out, _ = run(capsys, *REGION, "--potential", cubic_file, "--h", "0.05",
+                       "--a-count", "1")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["a", "0.5", "0.5"]
+
+
+@pytest.mark.parametrize("term", ["nan 1 3 0", "0 1 3 inf"])
+def test_non_finite_potential_is_one_usage_line(capsys, tmp_path, term):
+    path = tmp_path / "family.txt"
+    path.write_text(f"domain: line\n{term}\n")
+    code, out, err = run(capsys, *REGION, "--potential", str(path), "--h", "0.05")
+    assert code == 2 and out == ""
+    assert err.startswith("error:usage: ") and len(err.splitlines()) == 1
+
+
 def test_high_energy(capsys, tmp_path):
     path = tmp_path / "quartic.txt"
     path.write_text(QUARTIC)
@@ -177,6 +196,19 @@ def test_validate(capsys, cubic_file):
     )
     assert code == 0
     doc = json.loads(out)
+    assert doc["pass"] is True
+
+
+def test_validate_on_a_given_grid(capsys, cubic_file):
+    code, out, _ = run(
+        capsys, "validate", "--potential", cubic_file,
+        "--a", "1", "--eta", "1", "--h", "0.1", "--allow-large-h",
+        "--x-lo", "-2", "--x-hi", "4", "--grid-n", "1500",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    grid = doc["grid"]
+    assert (grid["x_lo"], grid["x_hi"], grid["n_interior"]) == (-2.0, 4.0, 1500)
     assert doc["pass"] is True
 
 
@@ -218,9 +250,13 @@ def test_format_not_written_is_refused(capsys, cubic_file, tmp_path, command, fm
                        "h": "0.05"}),
         ("quasimode", {"potential": None, "a": "1", "eta": "1", "z-re": "1",
                        "z-im": "1", "h": "0.05"}),
+        # region certifies nothing, so it takes no --order
+        ("region", {"potential": None, "h": "0.05", "a-min": "0.5",
+                    "a-max": "1.5", "a-count": "3", "eta-min": "-1",
+                    "eta-max": "1", "eta-count": "2", "order": "1"}),
     ],
     ids=["missing-potential", "bad-float", "missing-a-count", "partial-grid",
-         "eta-with-z", "a-eta-with-z"],
+         "eta-with-z", "a-eta-with-z", "region-order"],
 )
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_usage_error_is_one_line(capsys, cubic_file, tmp_path, command, options, via):
@@ -258,10 +294,13 @@ def test_usage_error_is_one_line(capsys, cubic_file, tmp_path, command, options,
         ["quasimode", "--a", "1", "--eta", "1e200", "--h", "0.1"],
         ["sweep-h", "--a", "1", "--eta", "1e200", "--h-list", "0.1,0.05,0.025"],
         ["validate", "--a", "1", "--eta", "1e200", "--h", "0.1"],
+        [*REGION, "--h", "0"],
+        [*REGION, "--h", "-1"],
     ],
     ids=["h-zero", "h-list-zero", "validate-h-zero", "h-nan", "a-nan", "eta-nan",
          "z-nan", "eta-inf", "h-list-repeated", "sigma-nan", "sigma-inf",
-         "a-overflows", "z-overflows", "sweep-z-overflows", "validate-z-overflows"],
+         "a-overflows", "z-overflows", "sweep-z-overflows", "validate-z-overflows",
+         "region-h-zero", "region-h-negative"],
 )
 def test_bad_number_is_one_usage_line(capsys, tmp_path, argv):
     path = tmp_path / "family.txt"

@@ -8,7 +8,7 @@ from chains import anchor_expansion, operator_chain, phi_chain
 
 from quasimodes import jwkb, scaling
 from quasimodes.errors import AccuracyError, DegenerateAnchorError, UsageError
-from quasimodes.potential import PotentialFamily, make_anchor
+from quasimodes.potential import Anchor, PotentialFamily, make_anchor
 from quasimodes.series import TruncatedSeries
 
 IX = PotentialFamily(((1j, 1, 0),))
@@ -652,6 +652,13 @@ def test_real_phase_rejected():
     real = PotentialFamily(((1.0, 2, 0),))
     with pytest.raises(DegenerateAnchorError):
         make_anchor(real, 0.05, 1.0, 1.0)
+
+
+def test_certify_rejects_a_hand_built_anchor_of_the_wrong_sign():
+    # Im V'(1) = 3 > 0 for i x^3: eta = -1 makes f~ grow away from the anchor
+    anchor = Anchor(a=1.0, eta=-1.0, h=0.05, z=1 + 1j)
+    with pytest.raises(DegenerateAnchorError, match="Re psi"):
+        jwkb.certify(IX3, anchor, 0)
 
 
 def test_sweep_h_slope_increases_with_order():

@@ -26,6 +26,12 @@ def test_discretization_grid():
         oracle.Discretization(1.0, 0.0, 10)
     with pytest.raises(UsageError):
         oracle.Discretization(0.0, 1.0, 2)
+    # non-finite bounds: a nan grid read sigma_min = 0, an infinite one divided
+    # by zero
+    for lo, hi in ((math.nan, 3.0), (0.0, math.inf), (-math.inf, 0.0),
+                   (0.0, math.nan)):
+        with pytest.raises(UsageError):
+            oracle.Discretization(lo, hi, 10)
 
 
 def test_assemble_stencil_entries():

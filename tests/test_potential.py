@@ -1,10 +1,14 @@
 """Potential families, the text format, and anchors."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from quasimodes.errors import DegenerateAnchorError, DomainError, UsageError
 from quasimodes.potential import (
+    Anchor,
     PotentialFamily,
     format_potential,
     load_potential,
@@ -174,6 +178,16 @@ def test_parse_errors():
         parse_potential("domain: line\n0 x 3 0\n")  # non-numeric
 
 
+@pytest.mark.parametrize(
+    "terms",
+    ["nan 1 3 0", "0 inf 3 0", "0 1 nan 0", "0 1 3 inf", "0 1 3 -inf",
+     "0 1 1 0\n0 1 3 nan"],
+)
+def test_parse_refuses_non_finite_fields(terms):
+    with pytest.raises(UsageError, match="not finite"):
+        parse_potential(f"domain: line\n{terms}\n")
+
+
 def test_parse_ignores_comments_and_blanks():
     P = parse_potential("# cubic\ndomain: line\n\n0 1 3 0  # i x^3\n")
     assert P.terms == ((1j, 3.0, 0.0),)
@@ -207,6 +221,8 @@ def test_anchor_rejects_degenerate():
         make_anchor(IX3, 0.05, 1.0, 0.0)
     with pytest.raises(DegenerateAnchorError):
         make_anchor(IX3, 0.05, 0.0, 1.0)  # Im V'(0) = 0 for i x^3
+    with pytest.raises(DegenerateAnchorError):
+        Anchor(a=1.0, eta=0.0, h=0.05, z=1j)
 
 
 @pytest.mark.parametrize(
@@ -230,3 +246,30 @@ def test_validate_anchor_rejects_tampered_energy():
     )
     with pytest.raises(UsageError):
         validate_anchor(IX, bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("h", 0.0), ("h", -0.05), ("h", math.inf), ("h", math.nan),
+     ("a", math.nan), ("a", -math.inf), ("eta", math.nan), ("eta", math.inf),
+     ("z", complex(math.nan, 1.0)), ("z", complex(1.0, math.inf))],
+)
+def test_anchor_refuses_non_finite_fields_and_h_at_most_0(field, value):
+    fields = {"a": 1.0, "eta": 1.0, "h": 0.05, "z": 1 + 1j, field: value}
+    with pytest.raises(UsageError):
+        Anchor(**fields)
+    # dataclasses.replace builds a new Anchor, so it runs the same check
+    with pytest.raises(UsageError):
+        dataclasses.replace(make_anchor(IX3, 0.05, 1.0, 1.0), **{field: value})
+
+
+def test_a_bad_h_is_reported_before_the_family_is_judged():
+    # Im V'(1) = 0 for the real x^2, but h = 0 is the error to report
+    with pytest.raises(UsageError):
+        make_anchor(PotentialFamily(((1.0, 2, 0),)), 0.0, 1.0, 1.0)
+
+
+def test_validate_anchor_rejects_wrong_sign():
+    # Im V'(1) = 3 > 0 for i x^3, so eta = -1 has the wrong sign
+    with pytest.raises(DegenerateAnchorError):
+        validate_anchor(IX3, Anchor(a=1.0, eta=-1.0, h=0.05, z=1 + 1j))

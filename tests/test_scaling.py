@@ -163,6 +163,19 @@ def test_region_U_drops_degenerate_points():
             make_anchor(IX3, 0.05, a, eta)
 
 
+@pytest.mark.parametrize("h", [-1.0, 0.0, math.inf, math.nan])
+def test_region_U_refuses_h_make_anchor_refuses(h):
+    with pytest.raises(UsageError):
+        scaling.region_U(IX3, h, [1.0], [1.0])
+    with pytest.raises(UsageError):
+        make_anchor(IX3, h, 1.0, 1.0)
+
+
+def test_region_U_drops_points_outside_the_domain():
+    pts = scaling.region_U(HALF, 0.05, [-1.0, 0.0, math.nan, 1.0], [1.0])
+    assert pts == [(make_anchor(HALF, 0.05, 1.0, 1.0).z, 1.0, 1.0)]
+
+
 def test_highenergy_lower_bound_sector_enforced():
     HE = scaling.HighEnergyOperator(QUARTIC)
     with pytest.raises(SectorError):
