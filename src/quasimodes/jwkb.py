@@ -24,8 +24,10 @@ Pipeline, for a potential family ``P`` and a validated anchor
    The march keeps h-free data only: h enters its equations only via V_h.
    :func:`_fold` builds one (segment, 4, K+1) array of ``psi_{-1}``,
    ``psi_{-1}'``, ``sum_m h^m psi_m`` and ``sum_j h^j phi_j``, with
-   integration constants summed outward from the anchor, and
-   :func:`sweep_h` folds one march at every h when V_h has no h term.
+   integration constants summed outward from the anchor.  When V_h has no
+   h term, :func:`build_piecewise` keeps the last chain, and
+   :func:`build_quasimode` its cutoff (step 3): the next call at the same
+   anchor only folds the chain at its own h.
 3. :func:`select_delta` chooses delta on a ``GAMMA_GRID``-point grid and
    certifies gamma with ``gamma*s^2 <= Re psi_{-1}(s)`` and a bound on
    ``|rho|`` on ``[-delta, delta]``.  Re psi_{-1} comes from one real
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, DegenerateAnchorError, UsageError
-from .potential import Anchor, make_anchor
+from .potential import Anchor, check_energy, make_anchor
 from .series import derivative_rows, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
@@ -280,9 +282,42 @@ class PiecewisePhase:
         return self._eval(s, self.segments[:, 3])[0]
 
 
+#: one slot, (key, chain, (delta, gamma, beta) or None) of the last march
+#: whose V_h has no h term; the chain's arrays are read-only.  The entry is
+#: replaced whole, never mutated, so a reader sees key, chain and cutoff of
+#: one build, and the module's own names never change.
+_last_build = [None]
+
+
+def _build_key(P, anchor, n, K):
+    """Everything the march and :func:`select_delta` read, h aside: floats
+    by their bits, so 0.0 and -0.0 differ.  None when V_h carries h."""
+    if P.depends_on_h:
+        return None
+    numbers = [anchor.a, anchor.eta, anchor.z, DEFAULT_SPAN, STEP_FRACTION,
+               SPAN_SHARE, *(x for term in P.terms for x in term)]
+    K = default_truncation(n) if K is None else K
+    return (P, np.array(numbers, dtype=complex).tobytes(), n, K, MAX_SEGMENTS,
+            GAMMA_GRID)
+
+
 def build_piecewise(P, anchor, n, K=None):
-    """Phase expansion continued over |s| <~ DEFAULT_SPAN around the anchor."""
-    return _fold(_march(P, anchor, n, K), anchor)
+    """Phase expansion continued over |s| <~ DEFAULT_SPAN around the anchor.
+
+    When no term of V_h carries h, neither does the march: its chain is
+    kept, read-only, under a key of all it reads but h (:func:`_build_key`),
+    and the next call with that key folds it at its own h instead of
+    marching.  A march under another key replaces it."""
+    key = _build_key(P, anchor, n, K)
+    last = _last_build[0]
+    if last is not None and last[0] == key:  # a kept key is never None
+        return _fold(last[1], anchor)
+    chain = _march(P, anchor, n, K)
+    if key is not None:
+        for array in (chain.centers, chain.derivs, chain.tails, chain.coverage):
+            array.setflags(write=False)
+        _last_build[0] = (key, chain, None)
+    return _fold(chain, anchor)
 
 
 # -- cutoff ---------------------------------------------------------------
@@ -424,9 +459,19 @@ def select_delta(P, pw):
 
 
 def build_quasimode(P, anchor, n, K=None):
-    """Full construction: continued phases plus certified (delta, gamma)."""
+    """Full construction: continued phases plus certified (delta, gamma).
+
+    :func:`select_delta` reads only psi_{-1}, V_h - z and the walls, all
+    free of h when V_h is, so (delta, gamma, beta) is kept with the chain
+    that :func:`build_piecewise` keeps and computed once per march."""
     pw = build_piecewise(P, anchor, n, K)
-    return Quasimode(pw, *select_delta(P, pw))
+    key = _build_key(P, anchor, n, K)
+    last = _last_build[0]
+    if last is None or last[0] != key:  # V_h carries h
+        return Quasimode(pw, *select_delta(P, pw))
+    if last[2] is None:
+        last = _last_build[0] = (key, last[1], select_delta(P, pw))
+    return Quasimode(pw, *last[2])
 
 
 # -- residual quadrature --------------------------------------------------
@@ -658,7 +703,11 @@ def residual_ratio(P, Q, allow_large_h=False):
 
 
 def certify(P, anchor, n, K=None, allow_large_h=False):
-    """Anchor -> certificate in one call."""
+    """Anchor -> certificate in one call.  An anchor whose z is not
+    eta^2 + V_h(a) raises :class:`UsageError` before anything is built."""
+    with np.errstate(all="ignore"):  # a non-finite V_h(a) fails in the march
+        v = P.eval(anchor.h, anchor.a)
+    check_energy(anchor, anchor.eta * anchor.eta + v)
     Q = build_quasimode(P, anchor, n, K)
     return residual_ratio(P, Q, allow_large_h=allow_large_h)
 
@@ -666,27 +715,16 @@ def certify(P, anchor, n, K=None, allow_large_h=False):
 def sweep_h(P, a, eta, n, h_list, K=None):
     """Certificates over an h grid at fixed (a, eta), plus the slope fit.
 
-    Only the fold of the phases depends on h when no term of V_h carries
-    h: then the chain is marched once, at the first h, and folded at each
-    h; otherwise it is marched once per h.  :func:`select_delta` reads only
-    psi_{-1}, V_h - z and the coverage, all h-free when no term of V_h
-    carries h, so it runs once per march, and each fold is certified
-    through :func:`residual_ratio`: every certificate equals that of
-    :func:`certify` at its h.  Returns (certs, slope, fit_residual) where
-    slope is the least-squares slope of log r against log h.  The
-    expected law is r ~ h^(n+2).
+    One :func:`certify` per h: when no term of V_h carries h, the first
+    marches and the others fold its chain (:func:`build_piecewise`).
+    Returns (certs, slope, fit_residual) where slope is the least-squares
+    slope of log r against log h.  The expected law is r ~ h^(n+2).
     """
     h_list = list(h_list)
     if len(set(h_list)) < 3:
         raise UsageError("h sweep needs at least 3 distinct h values")
-    certs, chain = [], None
-    for h in h_list:
-        anchor = make_anchor(P, h, a, eta)
-        if chain is None or P.depends_on_h:
-            chain, cutoff = _march(P, anchor, n, K), None
-        pw = _fold(chain, anchor)
-        cutoff = cutoff or select_delta(P, pw)
-        certs.append(residual_ratio(P, Quasimode(pw, *cutoff), allow_large_h=True))
+    certs = [certify(P, make_anchor(P, h, a, eta), n, K, allow_large_h=True)
+             for h in h_list]
     logs = np.log([c.h for c in certs])
     logr = np.log([c.r for c in certs])
     (slope, _), res, *_ = np.polyfit(logs, logr, 1, full=True)

@@ -250,13 +250,19 @@ def make_anchor(P, h, a, eta):
                   warnings=warnings)
 
 
+def check_energy(anchor, z):
+    """Raise :class:`UsageError` unless the anchor's z is the energy
+    z = eta^2 + V_h(a) to ``ANCHOR_RTOL``."""
+    if abs(anchor.z - z) > ANCHOR_RTOL * max(1.0, abs(z)):
+        raise UsageError("anchor energy does not satisfy z = eta^2 + V_h(a)")
+
+
 def validate_anchor(P, anchor):
     """Rebuild ``anchor`` with :func:`make_anchor` and compare; raises
     :class:`DegenerateAnchorError` when sign(eta) != sign(Im V_h'(a)) and
-    :class:`UsageError` when z is not eta^2 + V_h(a)."""
+    :class:`UsageError` when z is not eta^2 + V_h(a) (:func:`check_energy`)."""
     ref = make_anchor(P, anchor.h, anchor.a, anchor.eta)
     if ref.warnings:
         raise DegenerateAnchorError("sign(eta) != sign(Im V_h'(a))")
-    if abs(anchor.z - ref.z) > ANCHOR_RTOL * max(1.0, abs(ref.z)):
-        raise UsageError("anchor energy does not satisfy z = eta^2 + V_h(a)")
+    check_energy(anchor, ref.z)
     return True

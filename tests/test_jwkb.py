@@ -331,6 +331,9 @@ def test_delta_does_not_depend_on_the_march_steps(monkeypatch, P, a, eta, r_rtol
     for fraction in (0.3, 0.25, 0.2):
         monkeypatch.setattr(jwkb, "STEP_FRACTION", fraction)
         certs.append(jwkb.certify(P, anchor, 1))
+    # three marches: a memo that ignored the constant would compare one
+    # chain with itself
+    assert len({len(cert.quasimode.phase.centers) for cert in certs}) == 3
     first = certs[0]
     for cert in certs[1:]:
         assert cert.delta == first.delta and cert.panels == first.panels
@@ -705,6 +708,113 @@ def test_sweep_h_marches_once_unless_v_carries_h(monkeypatch, P, a, eta, marches
         ref = jwkb.certify(P, make_anchor(P, h, a, eta), 1, allow_large_h=True)
         for key in ("r", "delta", "gamma", "panels"):
             assert getattr(cert, key) == getattr(ref, key)
+
+
+H_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+
+
+def count_calls(monkeypatch, *names):
+    """Replace each jwkb function ``name`` by a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(jwkb, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(jwkb, name, counted(name))
+    return calls
+
+
+def cert_bits(cert):
+    """r, delta, gamma, beta, tail magnitudes (as float.hex) and panels."""
+    floats = [cert.r, cert.delta, cert.gamma, cert.diagnostics["beta"],
+              *cert.tail_magnitudes]
+    return [float(x).hex() for x in floats] + [cert.panels]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@LADDER_CASES
+def test_a_warm_certificate_keeps_the_bits_of_a_cold_one(monkeypatch, P, a, eta, n):
+    cold = []
+    for h in H_LADDER:
+        jwkb._last_build[0] = None
+        cold.append(cert_bits(jwkb.certify(P, make_anchor(P, h, a, eta), n,
+                                           allow_large_h=True)))
+    jwkb._last_build[0] = None
+    calls = count_calls(monkeypatch, "_march", "select_delta", "build_piecewise")
+    warm = [cert_bits(jwkb.certify(P, make_anchor(P, h, a, eta), n, allow_large_h=True))
+            for h in H_LADDER]
+    assert warm == cold
+    # every certificate is folded through build_piecewise, one march for all
+    assert calls == {"_march": 1, "select_delta": 1, "build_piecewise": len(H_LADDER)}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("DEFAULT_SPAN", 5.0), ("STEP_FRACTION", 0.25), ("SPAN_SHARE", 0.97),
+     ("MAX_SEGMENTS", 399), ("GAMMA_GRID", 2048)],
+)
+def test_changing_a_keyed_constant_marches_again(monkeypatch, name, value):
+    calls = count_calls(monkeypatch, "_march", "select_delta")
+    jwkb.certify(IX3, cubic_anchor(0.05), 1)
+    jwkb.certify(IX3, cubic_anchor(0.025), 1)
+    assert calls == {"_march": 1, "select_delta": 1}
+    monkeypatch.setattr(jwkb, name, value)
+    jwkb.certify(IX3, cubic_anchor(0.0125), 1)
+    assert calls == {"_march": 2, "select_delta": 2}
+
+
+@pytest.mark.parametrize(
+    "n, K, a, eta", [(2, None, 1.0, 1.0), (1, 18, 1.0, 1.0), (1, None, 1.1, 1.0),
+                     (1, None, 1.0, 0.9)],
+    ids=["n", "K", "a", "eta"],
+)
+def test_changing_an_argument_marches_again(monkeypatch, n, K, a, eta):
+    # K = 18 is the default truncation of n = 1: the key holds the resolved K
+    calls = count_calls(monkeypatch, "_march")
+    jwkb.certify(IX3, cubic_anchor(0.05), 1)
+    jwkb.certify(IX3, make_anchor(IX3, 0.025, a, eta), n, K)
+    assert calls["_march"] == (1 if (n, K, a, eta) == (1, 18, 1.0, 1.0) else 2)
+
+
+def test_a_family_whose_potential_carries_h_never_reuses_a_chain(monkeypatch):
+    P = PotentialFamily(((1.0, -2, 2), (1 + 1j, 2, 0)), domain="halfline")
+    calls = count_calls(monkeypatch, "_march", "select_delta")
+    for h in (0.05, 0.025, 0.05, 0.05):
+        jwkb.certify(P, make_anchor(P, h, 0.62, 0.6), 1, allow_large_h=True)
+    assert calls == {"_march": 4, "select_delta": 4}
+    assert jwkb._last_build[0] is None
+
+
+def test_a_reused_chain_is_read_only():
+    first = jwkb.certify(IX3, cubic_anchor(0.05), 1).quasimode.phase
+    second = jwkb.certify(IX3, cubic_anchor(0.025), 1).quasimode.phase
+    chain = jwkb._last_build[0][1]
+    assert first.centers is chain.centers and second.centers is chain.centers
+    for array in (chain.centers, chain.derivs, chain.tails, chain.coverage):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # each h folds its own phases from the shared chain
+    assert second.segments is not first.segments
+    assert (second.segments[:, 1] == first.segments[:, 1]).all()
+
+
+def test_certify_refuses_an_anchor_off_its_energy(monkeypatch):
+    # z off by 0.01: a typed usage error before any march or quadrature
+    good = cubic_anchor()
+    calls = count_calls(monkeypatch, "_march", "_panel_quadrature")
+    for dz in (0.01, 0.01j):
+        anchor = Anchor(a=good.a, eta=good.eta, h=good.h, z=good.z + dz)
+        with pytest.raises(UsageError, match="z = eta"):
+            jwkb.certify(IX3, anchor, 1)
+    assert calls == {"_march": 0, "_panel_quadrature": 0}
 
 
 def test_sweep_h_needs_three_points():
