@@ -21,13 +21,13 @@ Pipeline, for a potential family ``P`` and a validated anchor
    the nearest of ``DEFAULT_SPAN``, the domain edge and a real branch
    point.  Two safety stops, ``MAX_SEGMENTS`` centres and a non-finite
    row, cut it short; it then reaches only the first centre it drops.
-   The march keeps h-free data only: h enters its equations only via V_h.
-   :func:`_fold` builds one (segment, 4, K+1) array of ``psi_{-1}``,
-   ``psi_{-1}'``, ``sum_m h^m psi_m`` and ``sum_j h^j phi_j``, with
-   integration constants summed outward from the anchor.  When V_h has no
-   h term, :func:`build_piecewise` keeps the last chain, and
-   :func:`build_quasimode` its cutoff (step 3): the next call at the same
-   anchor only folds the chain at its own h.
+   h enters the march only via V_h.  With its rows it keeps ``psi_{-1}``
+   (:func:`_integrate`: constants summed outward from the anchor) and the
+   tail magnitudes at s = 0.  :func:`_fold` adds only what depends on h:
+   ``sum_m h^m psi_m``, integrated the same way, and ``sum_j h^j phi_j``.
+   When V_h has no h term, :func:`build_quasimode` keeps the last chain
+   with its cutoff (step 3): the next call at the same anchor only folds
+   the chain at its own h.
 3. :func:`select_delta` chooses delta on a ``GAMMA_GRID``-point grid and
    certifies gamma with ``gamma*s^2 <= Re psi_{-1}(s)`` and a bound on
    ``|rho|`` on ``[-delta, delta]``.  Re psi_{-1} comes from one real
@@ -66,9 +66,6 @@ from .series import derivative_rows, horner
 
 #: grid points (over [-span, span]) used to choose delta and certify gamma
 GAMMA_GRID = 4096
-
-#: Gauss-Legendre nodes per quadrature panel
-PANEL_NODES = 16
 
 #: quadrature refinement target (relative change between consecutive passes)
 QUAD_RTOL = 1e-8
@@ -170,8 +167,11 @@ class _Chain:
     centers: np.ndarray
     derivs: np.ndarray  # (segment, n + 2, K + 1): psi_{-1}' .. psi_n'
     tails: np.ndarray  # (segment, n + 1, K + 1): phi_{n+2} .. phi_{2n+2}
+    leading: np.ndarray  # (segment, K + 1): psi_{-1}, by :func:`_integrate`
     coverage: np.ndarray  # (s_min, s_max): the walls, or a safety stop's cut
     origin: int  # index of the anchor's segment
+    n: int
+    tail_magnitudes: tuple  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
 
 
 def _march(P, anchor, n, K=None):
@@ -210,59 +210,54 @@ def _march(P, anchor, n, K=None):
     cut = centers[~usable]  # a cut side reaches its first dropped centre
     coverage = np.array([np.max(cut[cut < 0], initial=walls[1]),
                          np.min(cut[cut > 0], initial=walls[0])])
-    return _Chain(centers[usable], derivs[usable], tails[usable], coverage,
-                  int(usable[:o].sum()))
+    o = int(usable[:o].sum())
+    centers, derivs, tails = centers[usable], derivs[usable], tails[usable]
+    return _Chain(centers, derivs, tails, _integrate(derivs[:, 0], centers, o),
+                  coverage, o, n, tuple(abs(tails[o]).max(1).tolist()))
+
+
+def _integrate(rows, centers, origin):
+    """Antiderivatives of ``rows`` (one per segment, in t = s - its centre).
+    Outward from the anchor, the constant at a segment is that of its inward
+    neighbour plus the neighbour's antiderivative, with constant 0, at the
+    step between them: one cumulative sum per side."""
+    out = np.zeros_like(rows, dtype=complex)
+    out[:, 1:] = rows[:, :-1] / np.arange(1, rows.shape[1])
+    i = np.arange(len(rows))
+    inward = i - np.sign(i - origin)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rise = horner(out, inward, centers - centers[inward])
+        for side in (i[origin + 1 :], i[:origin][::-1]):
+            out[side, 0] = np.cumsum(rise[side])
+    return out
 
 
 def _fold(chain, anchor):
-    """The continued phase of ``chain`` at the anchor's h.  Outward from the
-    anchor, the constant of psi_{-1} (and of sum_m h^m psi_m) at a segment is
-    that of its inward neighbour plus the neighbour's row, with constant 0,
-    at the step between them: one cumulative sum per side."""
-    h, derivs = anchor.h, chain.derivs
-    count, n, width = derivs.shape[0], derivs.shape[1] - 2, derivs.shape[2]
-    segments = np.zeros((count, 4, width), dtype=complex)
-    segments[:, 1] = derivs[:, 0]
-    dphase = sum(h**m * derivs[:, m + 1] for m in range(-1, n + 1))
-    for j in range(n + 2, 2 * n + 3):
-        segments[:, 3] += h**j * chain.tails[:, j - n - 2]
-    k = np.arange(1, width)
-    segments[:, 0, 1:] = derivs[:, 0, :-1] / k
-    segments[:, 2, 1:] = dphase[:, :-1] / k
-    i, o = np.arange(count), chain.origin
-    inward = i - np.sign(i - o)
-    steps = chain.centers - chain.centers[inward]
-    with np.errstate(invalid="ignore", over="ignore"):
-        for row in (0, 2):
-            rise = horner(segments[:, row], inward, steps)
-            for side in (i[o + 1 :], i[:o][::-1]):
-                segments[side, row, 0] = np.cumsum(rise[side])
-    mags = [float(np.max(np.abs(p))) for p in chain.tails[o]]
-    return PiecewisePhase(segments, chain.centers, n, anchor, mags, chain.coverage)
+    """The phase of ``chain`` at the anchor's h: the h-weighted sums of its
+    rows, sum_m h^m psi_m' integrated as psi_{-1}' is in the march."""
+    h, n = anchor.h, chain.n
+    dphase = sum(h**m * chain.derivs[:, m + 1] for m in range(-1, n + 1))
+    tail = sum(h**j * chain.tails[:, j - n - 2] for j in range(n + 2, 2 * n + 3))
+    phase = _integrate(dphase, chain.centers, chain.origin)
+    return PiecewisePhase(chain, anchor, np.stack([phase, tail], axis=1))
 
 
 @dataclass
 class PiecewisePhase:
-    """Phases continued along the real axis by chained re-expansions.
+    """A march's chain at one h: ``segments[i]`` holds the coefficients, in
+    t = s - chain.centers[i], of sum_m h^m psi_m and sum_j h^j phi_j."""
 
-    ``segments[i]`` holds the coefficients, in t = s - centers[i], of
-    psi_{-1}, psi_{-1}', sum_m h^m psi_m and sum_{j=n+2}^{2n+2} h^j phi_j.
-    """
-
-    segments: np.ndarray  # (segment, 4, K + 1), sorted by center
-    centers: np.ndarray
-    n: int
+    chain: _Chain
     anchor: Anchor
-    tail_magnitudes: list  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
-    coverage: np.ndarray  # (s_min, s_max): the march's walls or safety cuts
+    segments: np.ndarray  # (segment, 2, K + 1), sorted by center
 
     def _locate(self, s):
         """(segment, t = s - its centre) of each point: the segment with the
         nearest centre (ties go right), found once for every table."""
         s = np.asarray(s, dtype=float)
-        joins = 0.5 * (self.centers[:-1] + self.centers[1:])
+        joins = 0.5 * (self.chain.centers[:-1] + self.chain.centers[1:])
         seg = np.searchsorted(joins, s, side="right")
-        return seg, s - self.centers[seg]
+        return seg, s - self.chain.centers[seg]
 
     def _eval(self, s, *tables):
         """Evaluate tables (one row per segment) at s; results are shaped like s."""
@@ -271,20 +266,20 @@ class PiecewisePhase:
 
     def phase_at(self, s):
         """(psi, psi', psi'') of sum_m h^m psi_m at s (scalar or array)."""
-        return self._eval(s, *derivative_rows(self.segments[:, 2]))
+        return self._eval(s, *derivative_rows(self.segments[:, 0]))
 
     def leading_at(self, s):
         """(psi_{-1}, psi_{-1}') without h weights, for certification."""
-        return self._eval(s, self.segments[:, 0], self.segments[:, 1])
+        return self._eval(s, self.chain.leading, self.chain.derivs[:, 0])
 
     def tail_at(self, s):
         """sum_{m=n+2}^{2n+2} h^m phi_m(s), the interior residual factor."""
-        return self._eval(s, self.segments[:, 3])[0]
+        return self._eval(s, self.segments[:, 1])[0]
 
 
-#: one slot, (key, chain, (delta, gamma, beta) or None) of the last march
-#: whose V_h has no h term; the chain's arrays are read-only.  The entry is
-#: replaced whole, never mutated, so a reader sees key, chain and cutoff of
+#: one slot, (key, chain, (delta, gamma, beta)) of the last build whose V_h
+#: has no h term, with read-only arrays; only :func:`build_quasimode` writes
+#: it, replacing the entry whole, so a reader sees key, chain and cutoff of
 #: one build, and the module's own names never change.
 _last_build = [None]
 
@@ -302,22 +297,9 @@ def _build_key(P, anchor, n, K):
 
 
 def build_piecewise(P, anchor, n, K=None):
-    """Phase expansion continued over |s| <~ DEFAULT_SPAN around the anchor.
-
-    When no term of V_h carries h, neither does the march: its chain is
-    kept, read-only, under a key of all it reads but h (:func:`_build_key`),
-    and the next call with that key folds it at its own h instead of
-    marching.  A march under another key replaces it."""
-    key = _build_key(P, anchor, n, K)
-    last = _last_build[0]
-    if last is not None and last[0] == key:  # a kept key is never None
-        return _fold(last[1], anchor)
-    chain = _march(P, anchor, n, K)
-    if key is not None:
-        for array in (chain.centers, chain.derivs, chain.tails, chain.coverage):
-            array.setflags(write=False)
-        _last_build[0] = (key, chain, None)
-    return _fold(chain, anchor)
+    """Phase expansion continued over |s| <~ DEFAULT_SPAN around the anchor:
+    one march, folded at the anchor's h."""
+    return _fold(_march(P, anchor, n, K), anchor)
 
 
 # -- cutoff ---------------------------------------------------------------
@@ -397,7 +379,7 @@ class Quasimode:
         out = np.zeros(xi.shape, dtype=complex)
         inside = xi > 0
         pw = self.phase
-        (v,) = pw._eval(np.atleast_1d(s)[inside], pw.segments[:, 2])
+        (v,) = pw._eval(np.atleast_1d(s)[inside], pw.segments[:, 0])
         out[inside] = xi[inside] * np.exp(-v)
         return out.reshape(np.shape(s))
 
@@ -423,14 +405,14 @@ def select_delta(P, pw):
     it stays within ``SPAN_SHARE`` of the domain edge.  Returns (delta,
     gamma, beta).
     """
-    lo, hi = pw.coverage
+    lo, hi = pw.chain.coverage
     span = SPAN_SHARE * min(-lo, hi)
     if span <= 0:
         raise DegenerateAnchorError("analytic continuation has no reach")
     half = GAMMA_GRID // 2
     x = span * np.arange(1, half + 1) / half
     s = np.concatenate([-x[::-1], x])
-    (re,) = pw._eval(s, pw.segments[:, 0].real)
+    (re,) = pw._eval(s, pw.chain.leading.real)
     q = re / s**2
     anchor = pw.anchor
     dp = 2.0 * np.sqrt(np.abs(P.eval_many(anchor.h, anchor.a + s) - anchor.z))
@@ -461,17 +443,23 @@ def select_delta(P, pw):
 def build_quasimode(P, anchor, n, K=None):
     """Full construction: continued phases plus certified (delta, gamma).
 
-    :func:`select_delta` reads only psi_{-1}, V_h - z and the walls, all
-    free of h when V_h is, so (delta, gamma, beta) is kept with the chain
-    that :func:`build_piecewise` keeps and computed once per march."""
-    pw = build_piecewise(P, anchor, n, K)
+    The march and :func:`select_delta` read h only via V_h.  So when no
+    term of V_h carries h, the chain and its (delta, gamma, beta) are kept,
+    read-only, under a key of all they read but h (:func:`_build_key`); the
+    next call with that key only folds the chain at its own h, and a build
+    under another key replaces them."""
     key = _build_key(P, anchor, n, K)
     last = _last_build[0]
-    if last is None or last[0] != key:  # V_h carries h
-        return Quasimode(pw, *select_delta(P, pw))
-    if last[2] is None:
-        last = _last_build[0] = (key, last[1], select_delta(P, pw))
-    return Quasimode(pw, *last[2])
+    if last is not None and last[0] == key:  # a kept key is never None
+        return Quasimode(_fold(last[1], anchor), *last[2])
+    pw = build_piecewise(P, anchor, n, K)
+    cutoff = select_delta(P, pw)
+    if key is not None:
+        for array in (pw.chain.centers, pw.chain.derivs, pw.chain.tails,
+                      pw.chain.leading, pw.chain.coverage):
+            array.setflags(write=False)
+        _last_build[0] = (key, pw.chain, cutoff)
+    return Quasimode(pw, *cutoff)
 
 
 # -- residual quadrature --------------------------------------------------
@@ -521,7 +509,7 @@ def residual_pointwise(P, Q, s):
     s = np.asarray(s, dtype=float)
     flat = s.reshape(-1)
     out = np.zeros((3, flat.size), dtype=complex)
-    tables = derivative_rows(Q.phase.segments[:, 2])  # psi, psi', psi''
+    tables = derivative_rows(Q.phase.segments[:, 0])  # psi, psi', psi''
     for lo in range(0, flat.size, RESIDUAL_BLOCK):
         block = slice(lo, lo + RESIDUAL_BLOCK)
         _residual_block(P, Q, tables, flat[block], out[:, block])
@@ -581,6 +569,9 @@ _LEGENDRE_WEIGHTS = (
     0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
     0.062253523938647456, 0.027152459411754176,
 )
+
+#: Gauss-Legendre nodes per quadrature panel
+PANEL_NODES = 2 * len(_LEGENDRE_NODES)
 
 
 @functools.cache
@@ -683,13 +674,13 @@ def residual_ratio(P, Q, allow_large_h=False):
     return Certificate(
         z=anchor.z,
         h=h,
-        n=Q.phase.n,
+        n=Q.phase.chain.n,
         r=r,
         lower_bound=1.0 / r,
         delta=Q.delta,
         gamma=Q.gamma,
         panels=panels,
-        tail_magnitudes=list(Q.phase.tail_magnitudes),
+        tail_magnitudes=list(Q.phase.chain.tail_magnitudes),
         warnings=warnings,
         diagnostics={
             "beta": Q.beta,
@@ -716,7 +707,7 @@ def sweep_h(P, a, eta, n, h_list, K=None):
     """Certificates over an h grid at fixed (a, eta), plus the slope fit.
 
     One :func:`certify` per h: when no term of V_h carries h, the first
-    marches and the others fold its chain (:func:`build_piecewise`).
+    marches and the others fold its chain (:func:`build_quasimode`).
     Returns (certs, slope, fit_residual) where slope is the least-squares
     slope of log r against log h.  The expected law is r ~ h^(n+2).
     """

@@ -4,11 +4,12 @@ The operator -h^2 d^2/dx^2 + V_h is discretized with second-order
 central differences and Dirichlet truncation on [x_lo, x_hi], giving a
 complex tridiagonal matrix T.  The discrete resolvent norm at z is
 1/sigma_min(T - zI), from one Lanczos run for the largest eigenvalue of
-((T - z)^H (T - z))^-1.  T - z and its adjoint are LU-factored once with
-partial pivoting, so each Lanczos product is two O(N) tridiagonal
-solves.  Everything here is numpy and plain Python loops, and the
-Lanczos start vector comes from the standard library's ``random``, so
-the oracle loads no numpy module beyond those ``import numpy`` loads.
+((T - z)^H (T - z))^-1.  T is complex symmetric, so (T - z)^H is
+conj(T - z), and T - z is LU-factored once with partial pivoting: each
+Lanczos product is two O(N) tridiagonal solves with those factors.
+Everything here is numpy and plain Python loops, and the Lanczos start
+vector comes from the standard library's ``random``, so the oracle
+loads no numpy module beyond those ``import numpy`` loads.
 
 :func:`validate` compares a certificate against this discrete estimate:
 the certified lower bound must not exceed the discrete norm by more than
@@ -57,11 +58,10 @@ class Discretization:
 
 @dataclass
 class TridiagonalOperator:
-    """Complex tridiagonal matrix (sub/diag/super bands)."""
+    """Complex symmetric tridiagonal matrix (diagonal, off-diagonal band)."""
 
-    sub: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
+    off: np.ndarray
 
     @property
     def n(self):
@@ -69,8 +69,8 @@ class TridiagonalOperator:
 
     def matvec(self, v):
         out = self.diag * v
-        out[:-1] += self.sup * v[1:]
-        out[1:] += self.sub * v[:-1]
+        out[:-1] += self.off * v[1:]
+        out[1:] += self.off * v[:-1]
         return out
 
 
@@ -81,10 +81,8 @@ def assemble(P, h, disc):
         raise UsageError(f"x_lo = {disc.x_lo} is not above the domain edge")
     dx = disc.dx
     k = h * h / (dx * dx)
-    n = disc.n_interior
-    diag = 2.0 * k + P.eval_many(h, xs)
-    off = np.full(n - 1, -k, dtype=complex)
-    return TridiagonalOperator(sub=off.copy(), diag=diag, sup=off.copy())
+    off = np.full(xs.size - 1, -k, dtype=complex)
+    return TridiagonalOperator(diag=2.0 * k + P.eval_many(h, xs), off=off)
 
 
 def factor_tridiagonal(sub, diag, sup):
@@ -141,19 +139,19 @@ def smallest_singular_value(T, z):
     """sigma_min(T - zI) = 1/sqrt(theta), theta the largest eigenvalue of
     ((T - z)^H (T - z))^-1.
 
-    T - z and its adjoint are factored once (:func:`factor_tridiagonal`),
-    so each Lanczos product is two :func:`solve_banded` calls.  Lanczos
-    keeps every basis vector and reorthogonalizes against all of them,
-    and stops when the Ritz residual |beta_k s_k| is at most ``SSV_TOL``
-    times theta.  The start vector is complex Gaussian, from the bytes of
-    ``random.Random(SSV_SEED)``: reproducible, and not orthogonal to an
-    odd singular vector as a ones vector can be.  An exactly singular
-    matrix returns 0; a run that reaches ``SSV_MAX_STEPS`` first raises
-    :class:`AccuracyError`."""
+    T - z is factored once (:func:`factor_tridiagonal`), and each Lanczos
+    product is two :func:`solve_banded` calls with those factors: the
+    adjoint solve is conj(solve(conj(b))), since T is complex symmetric.
+    Lanczos keeps every basis vector and reorthogonalizes against all of
+    them, and stops when the Ritz residual |beta_k s_k| is at most
+    ``SSV_TOL`` times theta.  The start vector is complex Gaussian, from
+    the bytes of ``random.Random(SSV_SEED)``: reproducible, and not
+    orthogonal to an odd singular vector as a ones vector can be.  An
+    exactly singular matrix returns 0; a run that reaches
+    ``SSV_MAX_STEPS`` first raises :class:`AccuracyError`."""
     diag = T.diag - z
-    lu = factor_tridiagonal(T.sub, diag, T.sup)
-    luh = factor_tridiagonal(np.conj(T.sup), np.conj(diag), np.conj(T.sub))
-    if lu is None or luh is None:
+    lu = factor_tridiagonal(T.off, diag, T.off)
+    if lu is None:
         return 0.0
     # Box-Muller on 2N uniforms in [0, 1) from 53 random bits each
     bits = random.Random(SSV_SEED).randbytes(16 * T.n)
@@ -165,7 +163,7 @@ def smallest_singular_value(T, z):
     tri = np.zeros((steps + 1, steps + 1))
     for k in range(steps):
         Q = basis[: k + 1]
-        w = solve_banded(lu, solve_banded(luh, basis[k]))
+        w = solve_banded(lu, np.conj(solve_banded(lu, np.conj(basis[k]))))
         for _ in range(2):  # twice is enough (Kahan)
             c = Q.conj() @ w
             w -= c @ Q

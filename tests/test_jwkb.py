@@ -147,7 +147,7 @@ def test_local_series_matches_operator_chain(P, a, eta, n):
     chain = jwkb._march(P, anchor, n)
     assert chain.centers[chain.origin] == 0.0
     assert chain.derivs[chain.origin, 0, 0] == 1j * eta  # the concentrating branch
-    assert (jwkb.build_piecewise(P, anchor, n).centers == chain.centers).all()
+    assert (jwkb.build_piecewise(P, anchor, n).chain.centers == chain.centers).all()
     points = roots_of_v_minus_z(P, anchor.h, anchor.z) - a
     K = chain.derivs.shape[-1] - 1
     i = np.arange(len(chain.centers))
@@ -333,7 +333,7 @@ def test_delta_does_not_depend_on_the_march_steps(monkeypatch, P, a, eta, r_rtol
         certs.append(jwkb.certify(P, anchor, 1))
     # three marches: a memo that ignored the constant would compare one
     # chain with itself
-    assert len({len(cert.quasimode.phase.centers) for cert in certs}) == 3
+    assert len({len(cert.quasimode.phase.chain.centers) for cert in certs}) == 3
     first = certs[0]
     for cert in certs[1:]:
         assert cert.delta == first.delta and cert.panels == first.panels
@@ -353,7 +353,7 @@ def test_piecewise_matches_central_series_near_anchor():
 def test_piecewise_reaches_past_single_series_radius():
     # the central series for i x^3 at a = 1 only converges to |s| ~ 0.3
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
-    lo, hi = pw.coverage
+    lo, hi = pw.chain.coverage
     assert hi > 2.0 and lo < -2.0
 
 
@@ -370,7 +370,7 @@ def test_piecewise_derivatives_consistent():
 
 def test_piecewise_leading_continuous_at_segment_joins():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
-    joins = 0.5 * (pw.centers[:-1] + pw.centers[1:])
+    joins = 0.5 * (pw.chain.centers[:-1] + pw.chain.centers[1:])
     for sj in joins:
         va, _ = pw.leading_at(sj - 1e-9)
         vb, _ = pw.leading_at(sj + 1e-9)
@@ -379,17 +379,17 @@ def test_piecewise_leading_continuous_at_segment_joins():
 
 def test_piecewise_join_midpoint_goes_to_right_segment():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
-    joins = 0.5 * (pw.centers[:-1] + pw.centers[1:])
+    joins = 0.5 * (pw.chain.centers[:-1] + pw.chain.centers[1:])
     for k, sj in enumerate(joins):
-        right = TruncatedSeries(pw.segments[k + 1, 0])  # psi_{-1} of segment k + 1
-        assert pw.leading_at(sj)[0] == right.eval(sj - pw.centers[k + 1])
+        right = TruncatedSeries(pw.chain.leading[k + 1])  # psi_{-1}, segment k + 1
+        assert pw.leading_at(sj)[0] == right.eval(sj - pw.chain.centers[k + 1])
 
 
 def test_piecewise_arrays_match_scalar_calls():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 1)
     rng = np.random.default_rng(7)
     s = rng.permutation(np.linspace(-2.5, 2.5, 60)).reshape(4, 15)
-    assert len(np.unique(np.searchsorted(pw.centers, s))) > 3
+    assert len(np.unique(np.searchsorted(pw.chain.centers, s))) > 3
     for method in (pw.phase_at, pw.leading_at, lambda x: (pw.tail_at(x),)):
         arrays = method(s)
         for i, j in np.ndindex(s.shape):
@@ -434,7 +434,7 @@ def test_select_delta_certifies_concentration():
 
 def delta_grid(pw):
     """select_delta's grid: (its positive half x, all of it s)."""
-    lo, hi = pw.coverage
+    lo, hi = pw.chain.coverage
     span = 0.98 * min(-lo, hi)
     half = jwkb.GAMMA_GRID // 2
     x = span * np.arange(1, half + 1) / half
@@ -751,8 +751,8 @@ def test_a_warm_certificate_keeps_the_bits_of_a_cold_one(monkeypatch, P, a, eta,
     warm = [cert_bits(jwkb.certify(P, make_anchor(P, h, a, eta), n, allow_large_h=True))
             for h in H_LADDER]
     assert warm == cold
-    # every certificate is folded through build_piecewise, one march for all
-    assert calls == {"_march": 1, "select_delta": 1, "build_piecewise": len(H_LADDER)}
+    # one march for all: only a march passes through build_piecewise
+    assert calls == {"_march": 1, "select_delta": 1, "build_piecewise": 1}
 
 
 @pytest.mark.parametrize(
@@ -796,14 +796,23 @@ def test_a_reused_chain_is_read_only():
     first = jwkb.certify(IX3, cubic_anchor(0.05), 1).quasimode.phase
     second = jwkb.certify(IX3, cubic_anchor(0.025), 1).quasimode.phase
     chain = jwkb._last_build[0][1]
-    assert first.centers is chain.centers and second.centers is chain.centers
-    for array in (chain.centers, chain.derivs, chain.tails, chain.coverage):
+    assert first.chain is chain and second.chain is chain
+    for array in (chain.centers, chain.derivs, chain.tails, chain.leading,
+                  chain.coverage):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # each h folds its own phases from the shared chain
     assert second.segments is not first.segments
-    assert (second.segments[:, 1] == first.segments[:, 1]).all()
+
+
+def test_build_piecewise_keeps_no_state(monkeypatch):
+    # only build_quasimode keeps a chain: two calls at one anchor march twice
+    calls = count_calls(monkeypatch, "_march")
+    first = jwkb.build_piecewise(IX3, cubic_anchor(0.05), 1)
+    second = jwkb.build_piecewise(IX3, cubic_anchor(0.025), 1)
+    assert calls == {"_march": 2} and first.chain is not second.chain
+    assert jwkb._last_build[0] is None
 
 
 def test_certify_refuses_an_anchor_off_its_energy(monkeypatch):

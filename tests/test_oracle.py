@@ -41,18 +41,17 @@ def test_assemble_stencil_entries():
     T = oracle.assemble(P, h, disc)
     k = h * h / disc.dx**2
     np.testing.assert_allclose(T.diag, 2 * k + 2.0)
-    np.testing.assert_allclose(T.sub, -k)
-    np.testing.assert_allclose(T.sup, -k)
+    np.testing.assert_allclose(T.off, -k)
 
 
 def test_matvec():
+    # [[1, 3, 0], [3, 1, 2j], [0, 2j, 1]] @ [1, 2, 3]
     T = oracle.TridiagonalOperator(
-        sub=np.array([1.0 + 0j, 2.0]),
         diag=np.array([1.0 + 0j, 1.0, 1.0]),
-        sup=np.array([3.0 + 0j, 1.0]),
+        off=np.array([3.0 + 0j, 2j]),
     )
     v = np.array([1.0, 2.0, 3.0], dtype=complex)
-    np.testing.assert_allclose(T.matvec(v), [7.0, 6.0, 7.0])
+    np.testing.assert_allclose(T.matvec(v), [7.0, 5.0 + 6j, 3.0 + 4j])
 
 
 def test_smallest_singular_value_laplacian():
@@ -81,7 +80,7 @@ def test_exactly_singular_matrix_gives_zero():
     # h^2/dx^2 = 1, so T - 2 has a zero diagonal and is exactly singular
     P = PotentialFamily(((0.0, 0, 0),))
     T = oracle.assemble(P, 0.25, oracle.Discretization(0.0, 1.0, 3))
-    assert oracle.factor_tridiagonal(T.sub, T.diag - 2.0, T.sup) is None
+    assert oracle.factor_tridiagonal(T.off, T.diag - 2.0, T.off) is None
     assert oracle.smallest_singular_value(T, 2.0) == 0.0
 
 
@@ -89,12 +88,12 @@ def test_solve_pivots_past_a_zero_leading_pivot():
     # z = T[0, 0] zeroes the first pivot: LU without interchanges breaks down
     T = oracle.assemble(IX3, 0.1, oracle.Discretization(-2.0, 4.0, 400))
     z = T.diag[0]
-    A = oracle.TridiagonalOperator(T.sub, T.diag - z, T.sup)
+    A = oracle.TridiagonalOperator(T.diag - z, T.off)
     assert A.diag[0] == 0
     rng = np.random.default_rng(1)
     b = rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n)
-    x = oracle.solve_banded(oracle.factor_tridiagonal(A.sub, A.diag, A.sup), b)
-    dense = np.diag(A.diag) + np.diag(A.sup, 1) + np.diag(A.sub, -1)
+    x = oracle.solve_banded(oracle.factor_tridiagonal(A.off, A.diag, A.off), b)
+    dense = np.diag(A.diag) + np.diag(A.off, 1) + np.diag(A.off, -1)
     eps = np.finfo(float).eps
     bound = 100 * eps * (np.linalg.norm(dense, 2) * np.linalg.norm(x) + np.linalg.norm(b))
     assert np.linalg.norm(A.matvec(x) - b) <= bound
@@ -119,7 +118,7 @@ def test_smallest_singular_value_matches_dense_svd(case):
         warnings.simplefilter("error")
         got = oracle.smallest_singular_value(T, z)
         again = oracle.smallest_singular_value(T, z)
-    dense = np.diag(T.diag - z) + np.diag(T.sup, 1) + np.diag(T.sub, -1)
+    dense = np.diag(T.diag - z) + np.diag(T.off, 1) + np.diag(T.off, -1)
     sv = np.linalg.svd(dense, compute_uv=False)
     tol = 1e-8 * sv[-1]
     if not case.isdigit():

@@ -114,9 +114,9 @@ def test_certificates_match_the_direct_formula(monkeypatch, P, a, eta, h, n):
 @pytest.mark.parametrize("where", [0.0, 0.75])
 def test_a_nan_phase_row_fails_the_pass(cubic, where):
     pw = cubic.phase
-    i = np.argmin(np.abs(pw.centers - where * cubic.delta))
+    i = np.argmin(np.abs(pw.chain.centers - where * cubic.delta))
     segments = pw.segments.copy()
-    segments[i, 2, 3] = np.nan
+    segments[i, 0, 3] = np.nan
     Q = dataclasses.replace(cubic, phase=dataclasses.replace(pw, segments=segments))
     with pytest.raises(AccuracyError, match="not finite"):
         jwkb.residual_ratio(IX3, Q)
