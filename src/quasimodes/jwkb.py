@@ -42,11 +42,10 @@ Pipeline, for a potential family ``P`` and a validated anchor
    ceil(8 delta / sqrt(h)))``, and stop at the first pair that agrees to
    ``QUAD_RTOL``.  The first two passes share one evaluation of the
    residual, so a certificate that ends at that pair takes one.  An
-   evaluation takes its nodes ``RESIDUAL_BLOCK`` at a time and evaluates
-   psi first; psi', psi'' and
-   V_h only where exp(-psi) has not underflowed to 0, and the cutoff only
-   on its seam delta/2 < |s| < delta.  Every node keeps the bits of the
-   direct formula.
+   evaluation takes its nodes ``RESIDUAL_BLOCK`` at a time.  It evaluates
+   the cutoff first, at every node, then psi where the cutoff is nonzero,
+   and psi', psi'' and V_h only where exp(-psi) has not underflowed to 0;
+   each part is then the direct formula, one expression at every node.
 
 The transport recursion forces ``phi_0 .. phi_{n+1}`` to vanish; the
 tail ``phi_{n+2} .. phi_{2n+2}`` drives the O(h^{n+2}) residual.
@@ -315,7 +314,8 @@ def _bump_pieces(t):
 
 
 def _transition(t):
-    """g, g', g'' of g(t) = q(t) / (q(t) + q(1-t)) on (0, 1)."""
+    """g, g', g'' of g(t) = q(t) / (q(t) + q(1-t)): exactly (0, 0, 0) for
+    t <= 0 and (1, 0, 0) for t >= 1."""
     (qa, qb), (qa1, qb1), (qa2, qb2) = _bump_pieces(np.stack([t, 1.0 - t]))
     b1 = -qb1  # d/dt q(1-t)
     b2 = qb2
@@ -332,31 +332,17 @@ def _transition(t):
 def cutoff_eval(delta, s):
     """(xi, xi', xi'') of the smooth bump cutoff at local coordinate s.
 
-    xi = 1 for |s| < delta/2, xi = 0 for |s| > delta, and in between
-    xi(s) = g(2 - 2|s|/delta) with the classical exp(-1/t) transition;
-    all derivatives vanish at the seams.
+    xi(s) = g(2 - 2|s|/delta) with the classical exp(-1/t) transition g.
+    As q(t) = 0 for t <= 0, this one formula is exactly (1, 0, 0) for
+    |s| <= delta/2 and (0, 0, 0) for |s| >= delta, so all derivatives
+    vanish at the seams.  t is clamped at -1, which changes no bit and
+    keeps the bump's powers finite for any |s|; a NaN s clamps to -1 too,
+    so xi = 0 there.
     """
-    if delta <= 0:
-        raise UsageError("delta must be > 0")
+    if not 0 < delta < math.inf:
+        raise UsageError("delta must be finite and > 0")
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    xi = np.ones_like(s)
-    xi1 = np.zeros_like(s)
-    xi2 = np.zeros_like(s)
-    absr = np.abs(s)
-    xi[absr >= delta] = 0.0
-    mid = (absr > delta / 2) & (absr < delta)
-    if mid.any():
-        xi[mid], xi1[mid], xi2[mid] = _seam_cutoff(delta, s[mid])
-    if scalar:
-        return xi[0], xi1[0], xi2[0]
-    return xi, xi1, xi2
-
-
-def _seam_cutoff(delta, s):
-    """:func:`cutoff_eval` at seam nodes only, delta/2 < |s| < delta."""
-    g, g1, g2 = _transition(2.0 - 2.0 * np.abs(s) / delta)
+    g, g1, g2 = _transition(np.fmax(2.0 - 2.0 * np.abs(s) / delta, -1.0))
     return g, g1 * np.copysign(2.0 / delta, -s), g2 * (4.0 / delta**2)
 
 
@@ -375,13 +361,13 @@ class Quasimode:
     def values(self, s):
         """f~(a + s) = cutoff(s) * exp(-psi(s)) on the local grid s."""
         s = np.asarray(s, dtype=float)
-        xi, _, _ = cutoff_eval(self.delta, np.atleast_1d(s))
-        out = np.zeros(xi.shape, dtype=complex)
+        xi = cutoff_eval(self.delta, s)[0]
+        out = np.zeros(s.shape, dtype=complex)
         inside = xi > 0
         pw = self.phase
-        (v,) = pw._eval(np.atleast_1d(s)[inside], pw.segments[:, 0])
+        (v,) = pw._eval(s[inside], pw.segments[:, 0])
         out[inside] = xi[inside] * np.exp(-v)
-        return out.reshape(np.shape(s))
+        return out
 
 
 def select_delta(P, pw):
@@ -521,39 +507,30 @@ def _residual_block(P, Q, tables, s, out):
     into the zeroed ``out``, only where they can be nonzero; ``tables``
     hold the coefficients of psi, psi' and psi'', one row per segment.
 
-    The support is ``xi > 0``: the inner half |s| <= delta/2, where xi = 1
-    and xi' = xi'' = 0, so the cutoff terms drop out and leave the same
-    bits, and the seam nodes where xi has not underflowed, the only nodes
-    :func:`_seam_cutoff` sees.  psi comes first: where exp(-psi) is exactly
-    0 every part is 0, so psi', psi'' and V_h are evaluated only where it
-    is not (a nan psi counts, and so keeps a non-finite pass non-finite)."""
+    The cutoff comes first, at every node (:func:`cutoff_eval`), and its
+    support xi > 0 decides where psi is evaluated.  Where exp(-psi) is
+    exactly 0 every part is 0, so psi', psi'' and V_h are evaluated only
+    where it is not (a nan psi counts, and so keeps a non-finite pass
+    non-finite).  Each part is then one expression at every such node."""
     pw = Q.phase
     h, a, z = pw.anchor.h, pw.anchor.a, pw.anchor.z
-    absr = np.abs(s)
-    inner = np.flatnonzero(absr <= Q.delta / 2)
-    seam = np.flatnonzero((absr > Q.delta / 2) & (absr < Q.delta))
-    cut = np.stack(_seam_cutoff(Q.delta, s[seam]))  # xi, xi', xi''
-    kept = np.flatnonzero(cut[0] > 0)
-    support = np.concatenate([inner, seam[kept]])
-    seg, t = pw._locate(s[support])
+    xi, xi1, xi2 = cutoff_eval(Q.delta, s)
+    at = np.flatnonzero(xi > 0)
+    seg, t = pw._locate(s[at])
     psi, dpsi, ddpsi = tables
     e = np.exp(-horner(psi, seg, t))
     live = np.flatnonzero(e != 0)
-    k = np.searchsorted(live, inner.size)  # live[:k] are inner nodes
-    at, seg, t, e = support[live], seg[live], t[live], e[live]
+    at, seg, t, e = at[live], seg[live], t[live], e[live]
+    xi, xi1, xi2 = xi[at], xi1[at], xi2[at]
     d1 = horner(dpsi, seg, t)
     curv = d1 * d1 - horner(ddpsi, seg, t)
     pot = P.eval_many(h, a + s[at]) - z
-    out[1, at[:k]] = e[:k]
-    # on the seam: -h^2 (xi'' - 2 xi' psi' + xi (psi'^2 - psi'')) + (V_h - z) xi
-    xi, xi1, xi2 = cut[:, kept[live[k:] - inner.size]]
-    comm = xi2 - 2.0 * xi1 * d1[k:]
-    curv[k:] = comm + xi * curv[k:]
-    pot[k:] *= xi
-    out[0, at] = (-(h * h) * curv + pot) * e
-    out[1, at[k:]] = xi * e[k:]
+    comm = xi2 - 2.0 * xi1 * d1
+    # -h^2 (xi'' - 2 xi' psi' + xi (psi'^2 - psi'')) + (V_h - z) xi
+    out[0, at] = (-(h * h) * (comm + xi * curv) + pot * xi) * e
+    out[1, at] = xi * e
     # cutoff commutator alone: -h^2 (xi'' - 2 xi' psi') exp(-psi)
-    out[2, at[k:]] = -(h * h) * comm * e[k:]
+    out[2, at] = -(h * h) * comm * e
 
 
 #: the positive half of the symmetric 16-point Gauss-Legendre rule: the

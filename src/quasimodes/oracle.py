@@ -85,14 +85,14 @@ def assemble(P, h, disc):
     return TridiagonalOperator(diag=2.0 * k + P.eval_many(h, xs), off=off)
 
 
-def factor_tridiagonal(sub, diag, sup):
-    """LU factors of a tridiagonal matrix with partial pivoting, as LAPACK
-    ``gttrf`` computes them: ``(l, swap, d, du, du2)``, the N - 1
-    multipliers and row interchanges, then U's diagonal and its two
-    superdiagonals, padded with zeros to length N.  None if a pivot is
-    exactly zero, that is if the matrix is exactly singular."""
+def factor_tridiagonal(diag, off):
+    """LU factors, with partial pivoting as LAPACK ``gttrf`` computes them,
+    of the tridiagonal matrix with diagonal ``diag`` and ``off`` either side:
+    ``(l, swap, d, du, du2)``, the N - 1 multipliers and row interchanges,
+    then U's diagonal and its two superdiagonals, padded with zeros to
+    length N.  None if a pivot is exactly zero (an exactly singular matrix)."""
     n = diag.size
-    l, d, du = sub.tolist(), diag.tolist(), sup.tolist() + [0j]
+    l, d, du = off.tolist(), diag.tolist(), off.tolist() + [0j]
     du2 = [0j] * n
     swap = [False] * (n - 1)
     for i in range(n - 1):
@@ -150,7 +150,7 @@ def smallest_singular_value(T, z):
     exactly singular matrix returns 0; a run that reaches
     ``SSV_MAX_STEPS`` first raises :class:`AccuracyError`."""
     diag = T.diag - z
-    lu = factor_tridiagonal(T.off, diag, T.off)
+    lu = factor_tridiagonal(diag, T.off)
     if lu is None:
         return 0.0
     # Box-Muller on 2N uniforms in [0, 1) from 53 random bits each

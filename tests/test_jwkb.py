@@ -400,11 +400,17 @@ def test_piecewise_arrays_match_scalar_calls():
 
 def test_cutoff_plateau_support_and_smoothness():
     delta = 1.4
-    s = np.linspace(-2 * delta, 2 * delta, 1001)
-    xi, xi1, xi2 = jwkb.cutoff_eval(delta, s)
-    assert np.all(xi[np.abs(s) <= delta / 2] == 1.0)
-    assert np.all(xi[np.abs(s) >= delta] == 0.0)
-    mid = (np.abs(s) > delta / 2) & (np.abs(s) < delta)
+    edges = [0.0, delta / 2, np.nextafter(delta / 2, 0), np.nextafter(delta / 2, delta),
+             delta, np.nextafter(delta, 0), np.nextafter(delta, 2 * delta), 1e300, np.inf]
+    s = np.concatenate([np.linspace(-2 * delta, 2 * delta, 1001), edges, np.negative(edges)])
+    with np.errstate(all="raise", under="ignore"):  # a huge |s| overflows nothing
+        xi, xi1, xi2 = jwkb.cutoff_eval(delta, s)
+    # one transition formula, exact on the plateau and beyond the support,
+    # because the bump q(t) is exactly 0 for t <= 0
+    plateau, outside = np.abs(s) <= delta / 2, np.abs(s) >= delta
+    assert np.all(xi[plateau] == 1.0) and not (xi1[plateau].any() or xi2[plateau].any())
+    assert not (xi[outside].any() or xi1[outside].any() or xi2[outside].any())
+    mid = ~plateau & ~outside
     assert np.all((xi[mid] >= 0) & (xi[mid] <= 1))
     for frac in (0.65, 0.75, 0.85):
         val = jwkb.cutoff_eval(delta, frac * delta)[0]
@@ -417,6 +423,20 @@ def test_cutoff_plateau_support_and_smoothness():
         xm = jwkb.cutoff_eval(delta, sp - eps)[0]
         d1 = jwkb.cutoff_eval(delta, sp)[1]
         assert abs((xp - xm) / (2 * eps) - d1) < 1e-6
+
+
+def test_cutoff_refuses_a_bad_delta_and_drops_a_nan_point():
+    for delta in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(UsageError, match="delta"):
+            jwkb.cutoff_eval(delta, [0.0, 1.0, 5.0])
+    # a NaN s lies in no support: xi = xi' = xi'' = 0, and f~ = 0 there
+    Q = jwkb.build_quasimode(IX3, cubic_anchor(), 0)
+    s = np.array([np.nan, 0.0, -np.nan])
+    with np.errstate(all="raise", under="ignore"):
+        xi, xi1, xi2 = jwkb.cutoff_eval(Q.delta, s)
+        f = Q.values(s)
+    assert list(xi) == [0.0, 1.0, 0.0] and not (xi1.any() or xi2.any())
+    assert f[0] == 0 and f[2] == 0 and f[1] == 1
 
 
 def test_select_delta_certifies_concentration():

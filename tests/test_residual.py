@@ -9,6 +9,7 @@ from quasimodes import jwkb
 from quasimodes.errors import AccuracyError
 from quasimodes.potential import PotentialFamily, make_anchor
 
+IX = PotentialFamily(((1j, 1, 0),))
 IX3 = PotentialFamily(((1j, 3, 0),))
 X4 = PotentialFamily(((1 + 1j, 4, 0),))
 HALF = PotentialFamily(((1.0, -2, 0), (1 + 1j, 2, 0)), domain="halfline")
@@ -109,6 +110,27 @@ def test_certificates_match_the_direct_formula(monkeypatch, P, a, eta, h, n):
     monkeypatch.setattr(jwkb, "residual_pointwise", direct_residual)
     ref = jwkb.certify(P, anchor, n, allow_large_h=True)
     assert (got.r, got.panels, got.diagnostics) == (ref.r, ref.panels, ref.diagnostics)
+
+
+@pytest.mark.parametrize("P, a, eta", [
+    (IX, 0.0, 1.0), (IX3, 1.0, 1.0), (X4, 1.0, 1.0), (HALF, 0.62, 0.6),
+])
+@pytest.mark.parametrize("h", [0.1, 0.00625])
+def test_values_are_the_mode_row_of_the_residual(P, a, eta, h):
+    # the oracle and the stencil check sample values(); the certificate
+    # integrates row 1: the same bits wherever f~ is not 0.  Where
+    # exp(-psi) underflows, values() keeps the sign of exp's zero and the
+    # residual leaves the node unwritten.
+    Q = jwkb.build_quasimode(P, make_anchor(P, h, a, eta), 2)
+    d = Q.delta
+    edges = [d / 2, np.nextafter(d / 2, 0), np.nextafter(d / 2, d),
+             d, np.nextafter(d, 0), np.nextafter(d, 2 * d), 2 * d]
+    s = np.concatenate([np.linspace(-1.5 * d, 1.5 * d, 3001), edges, np.negative(edges)])
+    got = Q.values(s)
+    ref = jwkb.residual_pointwise(P, Q, s)[1]
+    live = ref != 0
+    assert np.array_equal(got != 0, live) and live.sum() > 1000
+    assert got[live].tobytes() == ref[live].tobytes()
 
 
 @pytest.mark.parametrize("where", [0.0, 0.75])
