@@ -20,7 +20,8 @@ Pipeline, for a potential family ``P`` and a validated anchor
    A side stops before its first centre past ``SPAN_SHARE`` of its wall,
    the nearest of ``DEFAULT_SPAN``, the domain edge and a real branch
    point.  Two safety stops, ``MAX_SEGMENTS`` centres and a non-finite
-   row, cut it short; it then reaches only the first centre it drops.
+   row (degenerate at the anchor), cut it short; it then reaches only the
+   first centre it drops.
    h enters the march only via V_h.  With its rows it keeps ``psi_{-1}``
    (:func:`_integrate`: constants summed outward from the anchor) and the
    tail magnitudes at s = 0.  :func:`_fold` adds only what depends on h:
@@ -33,19 +34,21 @@ Pipeline, for a potential family ``P`` and a validated anchor
    ``|rho|`` on ``[-delta, delta]``.  Re psi_{-1} comes from one real
    Horner pass over the chain, and ``|rho| = 1/(2 |V_h - z|^(1/2))`` from
    the eikonal equation ``psi_{-1}'^2 = V_h - z`` with the exact potential.
-4. :func:`residual_ratio` evaluates the exact pointwise residual of
-   ``f~ = cutoff * exp(-psi)`` (with the true potential, not a Taylor
-   truncation) by composite Gauss-Legendre quadrature and returns a
+4. :func:`residual_ratio` evaluates the exact pointwise residual of the
+   :class:`Quasimode` ``f~ = cutoff * exp(-psi)``, the folded phase with
+   its cutoff (with the true potential, not a Taylor truncation), by
+   composite Gauss-Legendre quadrature and returns a
    :class:`Certificate` whose ``lower_bound = 1/r`` bounds the
    resolvent norm at z from below.  The passes take ``ceil(P0 * 2^k)``
    panels for k = -3 .. ``MAX_DOUBLINGS``, where ``P0 = max(64,
    ceil(8 delta / sqrt(h)))``, and stop at the first pair that agrees to
    ``QUAD_RTOL``.  The first two passes share one evaluation of the
    residual, so a certificate that ends at that pair takes one.  An
-   evaluation takes its nodes ``RESIDUAL_BLOCK`` at a time.  It evaluates
-   the cutoff first, at every node, then psi where the cutoff is nonzero,
-   and psi', psi'' and V_h only where exp(-psi) has not underflowed to 0;
-   each part is then the direct formula, one expression at every node.
+   evaluation takes its nodes ``RESIDUAL_BLOCK`` at a time.  One rule
+   (:meth:`Quasimode._live`) finds f~'s support for the residual and
+   :meth:`Quasimode.values` alike: the cutoff at every node, then psi
+   where it is nonzero, then the nodes where exp(-psi) is not 0.  There
+   the residual evaluates psi', psi'' and V_h, one expression per part.
 
 The transport recursion forces ``phi_0 .. phi_{n+1}`` to vanish; the
 tail ``phi_{n+2} .. phi_{2n+2}`` drives the O(h^{n+2}) residual.
@@ -205,7 +208,8 @@ def _march(P, anchor, n, K=None):
         # with psi_{-1}', psi_m' flips for odd m and phi_j for odd j
         derivs[:, 0::2] *= flip[:, None, None]
         tails[:, (n + 1) % 2 :: 2] *= flip[:, None, None]
-    usable[o] = True
+    if not usable[o]:
+        raise DegenerateAnchorError("the expansion at the anchor is not finite")
     cut = centers[~usable]  # a cut side reaches its first dropped centre
     coverage = np.array([np.max(cut[cut < 0], initial=walls[1]),
                          np.min(cut[cut > 0], initial=walls[0])])
@@ -232,13 +236,13 @@ def _integrate(rows, centers, origin):
 
 
 def _fold(chain, anchor):
-    """The phase of ``chain`` at the anchor's h: the h-weighted sums of its
-    rows, sum_m h^m psi_m' integrated as psi_{-1}' is in the march."""
+    """The segments of ``chain`` at the anchor's h: the h-weighted sums of
+    its rows, sum_m h^m psi_m' integrated as psi_{-1}' is in the march."""
     h, n = anchor.h, chain.n
     dphase = sum(h**m * chain.derivs[:, m + 1] for m in range(-1, n + 1))
     tail = sum(h**j * chain.tails[:, j - n - 2] for j in range(n + 2, 2 * n + 3))
     phase = _integrate(dphase, chain.centers, chain.origin)
-    return PiecewisePhase(chain, anchor, np.stack([phase, tail], axis=1))
+    return np.stack([phase, tail], axis=1)
 
 
 @dataclass
@@ -298,7 +302,8 @@ def _build_key(P, anchor, n, K):
 def build_piecewise(P, anchor, n, K=None):
     """Phase expansion continued over |s| <~ DEFAULT_SPAN around the anchor:
     one march, folded at the anchor's h."""
-    return _fold(_march(P, anchor, n, K), anchor)
+    chain = _march(P, anchor, n, K)
+    return PiecewisePhase(chain, anchor, _fold(chain, anchor))
 
 
 # -- cutoff ---------------------------------------------------------------
@@ -350,24 +355,36 @@ def cutoff_eval(delta, s):
 
 
 @dataclass
-class Quasimode:
-    """A continued phase with certified cutoff radius and concentration rate."""
+class Quasimode(PiecewisePhase):
+    """f~ = cutoff * exp(-psi): the folded phase with its certified cutoff
+    radius and concentration rate."""
 
-    phase: PiecewisePhase
     delta: float
     gamma: float
     beta: float  # certified bound on |rho| over [-delta, delta]
 
+    def _live(self, s):
+        """(xi, xi', xi''), the nodes, their segments and t, and exp(-psi)
+        where f~ can be nonzero among the 1-d nodes s: where xi > 0 (the
+        cutoff is evaluated at every node) and exp(-psi) != 0.  A nan psi
+        counts as live, and so keeps a non-finite pass non-finite."""
+        xi, xi1, xi2 = cutoff_eval(self.delta, s)
+        at = np.flatnonzero(xi > 0)
+        seg, t = self._locate(s[at])
+        e = np.exp(-horner(self.segments[:, 0], seg, t))
+        live = np.flatnonzero(e != 0)
+        at = at[live]
+        return (xi[at], xi1[at], xi2[at]), at, seg[live], t[live], e[live]
+
     def values(self, s):
-        """f~(a + s) = cutoff(s) * exp(-psi(s)) on the local grid s."""
+        """f~(a + s) = cutoff(s) * exp(-psi(s)) on the local grid s: the
+        bits of :func:`residual_pointwise`'s second part, +0 off the
+        support."""
         s = np.asarray(s, dtype=float)
-        xi = cutoff_eval(self.delta, s)[0]
-        out = np.zeros(s.shape, dtype=complex)
-        inside = xi > 0
-        pw = self.phase
-        (v,) = pw._eval(s[inside], pw.segments[:, 0])
-        out[inside] = xi[inside] * np.exp(-v)
-        return out
+        out = np.zeros(s.size, dtype=complex)
+        (xi, _, _), at, _, _, e = self._live(s.reshape(-1))
+        out[at] = xi * e
+        return out.reshape(s.shape)
 
 
 def select_delta(P, pw):
@@ -437,7 +454,7 @@ def build_quasimode(P, anchor, n, K=None):
     key = _build_key(P, anchor, n, K)
     last = _last_build[0]
     if last is not None and last[0] == key:  # a kept key is never None
-        return Quasimode(_fold(last[1], anchor), *last[2])
+        return Quasimode(last[1], anchor, _fold(last[1], anchor), *last[2])
     pw = build_piecewise(P, anchor, n, K)
     cutoff = select_delta(P, pw)
     if key is not None:
@@ -445,7 +462,7 @@ def build_quasimode(P, anchor, n, K=None):
                       pw.chain.leading, pw.chain.coverage):
             array.setflags(write=False)
         _last_build[0] = (key, pw.chain, cutoff)
-    return Quasimode(pw, *cutoff)
+    return Quasimode(pw.chain, anchor, pw.segments, *cutoff)
 
 
 # -- residual quadrature --------------------------------------------------
@@ -495,7 +512,7 @@ def residual_pointwise(P, Q, s):
     s = np.asarray(s, dtype=float)
     flat = s.reshape(-1)
     out = np.zeros((3, flat.size), dtype=complex)
-    tables = derivative_rows(Q.phase.segments[:, 0])  # psi, psi', psi''
+    tables = derivative_rows(Q.segments[:, 0])[1:]  # psi', psi''
     for lo in range(0, flat.size, RESIDUAL_BLOCK):
         block = slice(lo, lo + RESIDUAL_BLOCK)
         _residual_block(P, Q, tables, flat[block], out[:, block])
@@ -504,24 +521,12 @@ def residual_pointwise(P, Q, s):
 
 def _residual_block(P, Q, tables, s, out):
     """Write the three parts of :func:`residual_pointwise` at the nodes s
-    into the zeroed ``out``, only where they can be nonzero; ``tables``
-    hold the coefficients of psi, psi' and psi'', one row per segment.
-
-    The cutoff comes first, at every node (:func:`cutoff_eval`), and its
-    support xi > 0 decides where psi is evaluated.  Where exp(-psi) is
-    exactly 0 every part is 0, so psi', psi'' and V_h are evaluated only
-    where it is not (a nan psi counts, and so keeps a non-finite pass
-    non-finite).  Each part is then one expression at every such node."""
-    pw = Q.phase
-    h, a, z = pw.anchor.h, pw.anchor.a, pw.anchor.z
-    xi, xi1, xi2 = cutoff_eval(Q.delta, s)
-    at = np.flatnonzero(xi > 0)
-    seg, t = pw._locate(s[at])
-    psi, dpsi, ddpsi = tables
-    e = np.exp(-horner(psi, seg, t))
-    live = np.flatnonzero(e != 0)
-    at, seg, t, e = at[live], seg[live], t[live], e[live]
-    xi, xi1, xi2 = xi[at], xi1[at], xi2[at]
+    into the zeroed ``out`` where f~ can be nonzero (:meth:`Quasimode._live`).
+    ``tables`` hold psi' and psi'', one row per segment; they and V_h are
+    evaluated there, and each part is one expression at every such node."""
+    h, a, z = Q.anchor.h, Q.anchor.a, Q.anchor.z
+    (xi, xi1, xi2), at, seg, t, e = Q._live(s)
+    dpsi, ddpsi = tables
     d1 = horner(dpsi, seg, t)
     curv = d1 * d1 - horner(ddpsi, seg, t)
     pot = P.eval_many(h, a + s[at]) - z
@@ -605,7 +610,7 @@ def residual_ratio(P, Q, allow_large_h=False):
     larger h is rejected, but sweeps may pass ``allow_large_h=True`` to
     proceed with an ``h_above_delta_sq`` warning instead.
     """
-    anchor = Q.phase.anchor
+    anchor = Q.anchor
     h = anchor.h
     warnings = list(anchor.warnings)
     if h > Q.delta**2:
@@ -651,13 +656,13 @@ def residual_ratio(P, Q, allow_large_h=False):
     return Certificate(
         z=anchor.z,
         h=h,
-        n=Q.phase.chain.n,
+        n=Q.chain.n,
         r=r,
         lower_bound=1.0 / r,
         delta=Q.delta,
         gamma=Q.gamma,
         panels=panels,
-        tail_magnitudes=list(Q.phase.chain.tail_magnitudes),
+        tail_magnitudes=list(Q.chain.tail_magnitudes),
         warnings=warnings,
         diagnostics={
             "beta": Q.beta,

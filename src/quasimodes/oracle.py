@@ -234,7 +234,7 @@ def discrete_residual(cert, P, disc):
     """
     if cert.quasimode is None:
         raise UsageError("certificate has no attached quasimode to sample")
-    anchor = cert.quasimode.phase.anchor
+    anchor = cert.quasimode.anchor
     T = assemble(P, cert.h, disc)
     return _residual(T, cert.z, cert.quasimode.values(disc.grid() - anchor.a))
 
@@ -255,7 +255,7 @@ def validate(cert, P, disc):
     """
     if cert.quasimode is None:
         raise UsageError("certificate has no attached quasimode to sample")
-    anchor = cert.quasimode.phase.anchor
+    anchor = cert.quasimode.anchor
     a, h = anchor.a, cert.h
     reach = 8.0 * math.sqrt(h)
     lo_needed = max(a - reach, P.x_min + disc.dx)

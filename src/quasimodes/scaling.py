@@ -65,14 +65,6 @@ class HighEnergyOperator:
             if not (p_n > 0 and float(p_n).is_integer() and int(p_n) % 2 == 0):
                 raise UsageError("top exponent must be a positive even integer")
 
-    @property
-    def c_n(self):
-        return self.potential.top[0]
-
-    @property
-    def p_n(self):
-        return self.potential.top[1]
-
 
 @dataclass(frozen=True)
 class ScalingMap:
@@ -82,23 +74,20 @@ class ScalingMap:
     u: float
     h: float
     family: PotentialFamily
-    norm_factor: float  # multiply semiclassical lower bounds by this
 
 
 def to_semiclassical(HE, sigma):
     """Rescale the high-energy operator at scale sigma."""
     if not 0 < sigma < math.inf:
         raise UsageError(f"sigma must be finite and > 0, got {sigma}")
-    p_n = HE.p_n
+    p_n = HE.potential.top[1]
     u = sigma ** (1.0 / p_n)
     h = u ** (-(p_n + 2.0) / 2.0)
     terms = tuple(
         (c, p, 2.0 * (p_n - p) / (p_n + 2.0)) for c, p, _ in HE.potential.terms
     )
     family = PotentialFamily(terms, HE.potential.domain)
-    return ScalingMap(
-        sigma=float(sigma), u=u, h=h, family=family, norm_factor=1.0 / sigma
-    )
+    return ScalingMap(sigma=float(sigma), u=u, h=h, family=family)
 
 
 def sector_check(z, c_n):
@@ -201,9 +190,10 @@ def highenergy_lower_bound(HE, z, sigma, n_order, K=None):
     point sigma*z; its lower_bound includes the sigma^-1 transfer factor
     and r is rescaled so that lower_bound * r = 1 still holds.
     """
-    if not sector_check(z, HE.c_n):
+    c_n = HE.potential.top[0]
+    if not sector_check(z, c_n):
         raise SectorError(
-            f"arg z = {cmath.phase(z):.6g} outside (0, {cmath.phase(HE.c_n):.6g})"
+            f"arg z = {cmath.phase(z):.6g} outside (0, {cmath.phase(c_n):.6g})"
         )
     if not 1 <= sigma < math.inf:
         raise UsageError(f"sigma must be finite and >= 1, got {sigma}")
@@ -212,7 +202,7 @@ def highenergy_lower_bound(HE, z, sigma, n_order, K=None):
     cert = jwkb.certify(
         smap.family, anchor, n_order, K, allow_large_h=True
     )
-    lower = cert.lower_bound * smap.norm_factor
+    lower = cert.lower_bound * (1.0 / smap.sigma)
     cert.z = sigma * complex(z)
     cert.lower_bound = lower
     cert.r = 1.0 / lower

@@ -40,7 +40,7 @@ def tail_identity_error(P, anchor, n):
     Q = jwkb.build_quasimode(P, anchor, n, 2 * n + 32)
     s = np.linspace(-0.499 * Q.delta, 0.499 * Q.delta, 81)
     res, _, _ = jwkb.residual_pointwise(P, Q, s)
-    pred = Q.phase.tail_at(s) * np.exp(-Q.phase.phase_at(s)[0])
+    pred = Q.tail_at(s) * np.exp(-Q.phase_at(s)[0])
     return float(np.abs(res - pred).max() / np.abs(res).max())
 
 

@@ -434,6 +434,26 @@ def test_accuracy_error_is_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error:accuracy: quadrature is not finite"]
 
 
+@pytest.mark.parametrize("potential, a, eta", [
+    (CUBIC, "1", "1e-9"), ("domain: line\n0 1 1 0\n", "0", "1e-120"),
+])
+def test_an_anchor_whose_expansion_is_not_finite_is_one_line(tmp_path, potential, a, eta):
+    # a subprocess, so that a numpy warning would reach stderr
+    path = tmp_path / "pot.txt"
+    path.write_text(potential)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasimodes.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasimodes.cli", "quasimode", "--potential",
+         str(path), "--a", a, "--eta", eta, "--h", "0.1", "--allow-large-h"],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error:degenerate_anchor: the expansion at the anchor is not finite"
+    ]
+
+
 @pytest.mark.parametrize("h", ["1e-30", "1e-300"])
 def test_a_quadrature_too_large_to_allocate_is_an_accuracy_error(capsys, cubic_file, h):
     code, out, err = run(

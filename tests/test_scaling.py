@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quasimodes import scaling
+from quasimodes import jwkb, scaling
 from quasimodes.errors import (
     DegenerateAnchorError,
     DomainError,
@@ -39,7 +39,6 @@ def test_rescaling_exponents():
     smap = scaling.to_semiclassical(HE, sigma)
     assert smap.u == pytest.approx(sigma ** 0.25)
     assert smap.h == pytest.approx(smap.u ** -3.0)
-    assert smap.norm_factor == pytest.approx(1.0 / sigma)
     # top coefficient is h-independent, lower terms pick up h powers
     (c, p, e), = smap.family.terms
     assert (c, p, e) == (1 + 1j, 4.0, 0.0)
@@ -230,6 +229,11 @@ def test_highenergy_lower_bound_transfer():
     assert cert.diagnostics["semiclassical_h"] == pytest.approx(
         sigma ** (-0.25 * 3.0)
     )
+    # the bound is the semiclassical certificate's times 1/sigma, bit for bit
+    smap = scaling.to_semiclassical(HE, sigma)
+    anchor = scaling.solve_anchor(smap.family, smap.h, z)
+    semi = jwkb.certify(smap.family, anchor, 0, allow_large_h=True)
+    assert cert.lower_bound.hex() == (semi.lower_bound * (1.0 / sigma)).hex()
 
 
 #: the benchmark's high-energy sweep, (family, arg z / pi, n, sigma), less
