@@ -55,7 +55,7 @@ class AnchorError(QuasimodeError):
 
 
 class DegenerateAnchorError(AnchorError):
-    """Im V'(a) = 0, eta = 0, or no admissible cutoff radius."""
+    """Im V'(a) = 0, eta = 0, too short a reach, or no admissible cutoff radius."""
 
     code = "degenerate_anchor"
 

@@ -25,7 +25,8 @@ Pipeline, for a potential family ``P`` and a validated anchor
    h enters the march only via V_h.  With its rows it keeps ``psi_{-1}``
    (:func:`_integrate`: constants summed outward from the anchor) and the
    tail magnitudes at s = 0.  :func:`_fold` adds only what depends on h:
-   ``sum_m h^m psi_m``, integrated the same way, and ``sum_j h^j phi_j``.
+   ``psi = sum_m h^m psi_m``, integrated the same way, with its psi' and
+   psi'' rows, and ``sum_j h^j phi_j``.
    When V_h has no h term, :func:`build_quasimode` keeps the last chain
    with its cutoff (step 3): the next call at the same anchor only folds
    the chain at its own h.
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,13 +109,9 @@ def eikonal_rhs(P, anchor, K, at=0.0):
 
 def _products(x, y):
     """Truncated products of the rows of x and y (x read through windows)."""
-    width = x.shape[-1]
     padded = np.concatenate([np.zeros_like(x[..., 1:]), x], axis=-1)
-    step = padded.strides[-1]  # windows[..., k, m] = padded[..., k + m]
-    windows = np.lib.stride_tricks.as_strided(
-        padded, padded.shape[:-1] + (width, width), padded.strides + (step,),
-        writeable=False,
-    )
+    # windows[..., k, m] = padded[..., k + m]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, x.shape[-1], -1)
     return np.einsum("...km,...m->...k", windows, y[..., ::-1])
 
 
@@ -127,14 +125,16 @@ def _local_series(P, anchor, n, K, centers):
     degree K - j, phi_j is truncation noise and is set to 0."""
     if n < 0:
         raise UsageError("JWKB order must be >= 0")
-    rhs = eikonal_rhs(P, anchor, default_truncation(n) if K is None else K, centers)
-    count, width = rhs.shape
-    ks = np.arange(1, width)
-    derivs = np.zeros((count, n + 2, width), dtype=complex)
-    # degree-major (K + 1, segment) rows, so each degree's convolution is
-    # a sum over the leading axis of contiguous rows
-    root, rho = np.zeros((2, width, count), dtype=complex)
+    # a fractional or negative power may overflow near x = 0: a row that is
+    # not finite ends the march (:func:`_march`)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        rhs = eikonal_rhs(P, anchor, default_truncation(n) if K is None else K, centers)
+        count, width = rhs.shape
+        ks = np.arange(1, width)
+        derivs = np.zeros((count, n + 2, width), dtype=complex)
+        # degree-major (K + 1, segment) rows, so each degree's convolution is
+        # a sum over the leading axis of contiguous rows
+        root, rho = np.zeros((2, width, count), dtype=complex)
         root[0] = np.where(centers == 0.0, 1j * anchor.eta, np.sqrt(rhs[:, 0]))
         rho[0] = 1.0 / (2.0 * root[0])  # rho = 1/(2 psi_{-1}')
         two_root, minus_rho = 2.0 * root[0], -rho[0]
@@ -236,23 +236,26 @@ def _integrate(rows, centers, origin):
 
 
 def _fold(chain, anchor):
-    """The segments of ``chain`` at the anchor's h: the h-weighted sums of
-    its rows, sum_m h^m psi_m' integrated as psi_{-1}' is in the march."""
+    """The segments of ``chain`` at the anchor's h, rows as in
+    :class:`PiecewisePhase`: psi, the integral of sum_m h^m psi_m' taken
+    as psi_{-1}' is in the march, its psi' and psi'' (:func:`derivative_rows`)
+    and the tail sum_j h^j phi_j."""
     h, n = anchor.h, chain.n
     dphase = sum(h**m * chain.derivs[:, m + 1] for m in range(-1, n + 1))
     tail = sum(h**j * chain.tails[:, j - n - 2] for j in range(n + 2, 2 * n + 3))
     phase = _integrate(dphase, chain.centers, chain.origin)
-    return np.stack([phase, tail], axis=1)
+    return np.stack([*derivative_rows(phase), tail], axis=1)
 
 
 @dataclass
 class PiecewisePhase:
-    """A march's chain at one h: ``segments[i]`` holds the coefficients, in
-    t = s - chain.centers[i], of sum_m h^m psi_m and sum_j h^j phi_j."""
+    """A march's chain at one h: ``segments[i]`` holds four rows of
+    coefficients in t = s - chain.centers[i]: psi = sum_m h^m psi_m, psi',
+    psi'' and the tail sum_j h^j phi_j (:func:`_fold`)."""
 
     chain: _Chain
     anchor: Anchor
-    segments: np.ndarray  # (segment, 2, K + 1), sorted by center
+    segments: np.ndarray  # (segment, 4, K + 1), sorted by center
 
     def _locate(self, s):
         """(segment, t = s - its centre) of each point: the segment with the
@@ -269,7 +272,7 @@ class PiecewisePhase:
 
     def phase_at(self, s):
         """(psi, psi', psi'') of sum_m h^m psi_m at s (scalar or array)."""
-        return self._eval(s, *derivative_rows(self.segments[:, 0]))
+        return self._eval(s, *self.segments[:, :3].transpose(1, 0, 2))
 
     def leading_at(self, s):
         """(psi_{-1}, psi_{-1}') without h weights, for certification."""
@@ -277,7 +280,7 @@ class PiecewisePhase:
 
     def tail_at(self, s):
         """sum_{m=n+2}^{2n+2} h^m phi_m(s), the interior residual factor."""
-        return self._eval(s, self.segments[:, 1])[0]
+        return self._eval(s, self.segments[:, 3])[0]
 
 
 #: one slot, (key, chain, (delta, gamma, beta)) of the last build whose V_h
@@ -309,29 +312,31 @@ def build_piecewise(P, anchor, n, K=None):
 # -- cutoff ---------------------------------------------------------------
 
 
-def _bump_pieces(t):
-    """q, q', q'' of q(t) = exp(-1/t) (0 for t <= 0), vectorized."""
-    t = np.asarray(t, dtype=float)
+def _transition(t):
+    """g, g', g'' of g(t) = q(t) / (q(t) + q(1-t)) with the bump q(t) =
+    exp(-1/t) (0 for t <= 0): exactly (0, 0, 0) for t <= 0 and (1, 0, 0)
+    for t >= 1.  Both bumps come from one pass over (t, 1 - t); the
+    derivatives of q(1-t) are -q'(1-t) and q''(1-t)."""
+    t = np.stack([t, 1.0 - t])
     pos = t > 0
     ts = np.where(pos, t, 1.0)
     q = np.where(pos, np.exp(-1.0 / ts), 0.0)  # q = 0 makes q', q'' 0 too
-    return q, q / ts**2, q * (1.0 / ts**4 - 2.0 / ts**3)
-
-
-def _transition(t):
-    """g, g', g'' of g(t) = q(t) / (q(t) + q(1-t)): exactly (0, 0, 0) for
-    t <= 0 and (1, 0, 0) for t >= 1."""
-    (qa, qb), (qa1, qb1), (qa2, qb2) = _bump_pieces(np.stack([t, 1.0 - t]))
-    b1 = -qb1  # d/dt q(1-t)
-    b2 = qb2
+    (qa, qb), (qa1, qb1), (qa2, qb2) = q, q / ts**2, q * (1.0 / ts**4 - 2.0 / ts**3)
     d = qa + qb
-    d1 = qa1 + b1
-    w = qa1 * qb - qa * b1
-    w1 = qa2 * qb - qa * b2
+    d1 = qa1 - qb1
+    w = qa1 * qb + qa * qb1
+    w1 = qa2 * qb - qa * qb2
     g = qa / d
     g1 = w / d**2
     g2 = (w1 * d - 2.0 * w * d1) / d**3
     return g, g1, g2
+
+
+def _cutoff_fits(delta):
+    """True when delta > 0 and the cutoff's delta^2 and 4/delta^2
+    (:func:`cutoff_eval`) are finite; it never divides by delta, so it
+    never warns."""
+    return delta > 0 and 4.0 / sys.float_info.max < delta * delta < math.inf
 
 
 def cutoff_eval(delta, s):
@@ -342,10 +347,11 @@ def cutoff_eval(delta, s):
     |s| <= delta/2 and (0, 0, 0) for |s| >= delta, so all derivatives
     vanish at the seams.  t is clamped at -1, which changes no bit and
     keeps the bump's powers finite for any |s|; a NaN s clamps to -1 too,
-    so xi = 0 there.
+    so xi = 0 there.  A delta that :func:`_cutoff_fits` refuses is a
+    :class:`UsageError`.
     """
-    if not 0 < delta < math.inf:
-        raise UsageError("delta must be finite and > 0")
+    if not _cutoff_fits(delta):
+        raise UsageError("delta must be > 0, with delta^2 and 4/delta^2 finite")
     s = np.asarray(s, dtype=float)
     g, g1, g2 = _transition(np.fmax(2.0 - 2.0 * np.abs(s) / delta, -1.0))
     return g, g1 * np.copysign(2.0 / delta, -s), g2 * (4.0 / delta**2)
@@ -405,15 +411,19 @@ def select_delta(P, pw):
     real parts of the psi_{-1} rows (the bits of the complex pass's real
     part), and |2 psi_{-1}'| = 2 |V_h(a+s) - z|^(1/2) from the eikonal
     equation and the exact potential, which the grid cannot leave since
-    it stays within ``SPAN_SHARE`` of the domain edge.  Returns (delta,
-    gamma, beta).
+    it stays within ``SPAN_SHARE`` of the domain edge.  A reach so short
+    that the grid's smallest delta does not suit the cutoff
+    (:func:`_cutoff_fits`) is refused before anything is divided.  Returns
+    (delta, gamma, beta).
     """
     lo, hi = pw.chain.coverage
     span = SPAN_SHARE * min(-lo, hi)
-    if span <= 0:
-        raise DegenerateAnchorError("analytic continuation has no reach")
     half = GAMMA_GRID // 2
     x = span * np.arange(1, half + 1) / half
+    # the grid's deltas are x[1] and up; when x[1] suits the cutoff, no s^2
+    # of the grid underflows to 0 either
+    if not _cutoff_fits(x[1]):
+        raise DegenerateAnchorError("analytic continuation has too short a reach")
     s = np.concatenate([-x[::-1], x])
     (re,) = pw._eval(s, pw.chain.leading.real)
     q = re / s**2
@@ -512,23 +522,21 @@ def residual_pointwise(P, Q, s):
     s = np.asarray(s, dtype=float)
     flat = s.reshape(-1)
     out = np.zeros((3, flat.size), dtype=complex)
-    tables = derivative_rows(Q.segments[:, 0])[1:]  # psi', psi''
     for lo in range(0, flat.size, RESIDUAL_BLOCK):
         block = slice(lo, lo + RESIDUAL_BLOCK)
-        _residual_block(P, Q, tables, flat[block], out[:, block])
+        _residual_block(P, Q, flat[block], out[:, block])
     return tuple(out.reshape((3,) + s.shape))
 
 
-def _residual_block(P, Q, tables, s, out):
+def _residual_block(P, Q, s, out):
     """Write the three parts of :func:`residual_pointwise` at the nodes s
     into the zeroed ``out`` where f~ can be nonzero (:meth:`Quasimode._live`).
-    ``tables`` hold psi' and psi'', one row per segment; they and V_h are
-    evaluated there, and each part is one expression at every such node."""
+    There psi' and psi'' (rows 1 and 2 of ``Q.segments``) and V_h are
+    evaluated, and each part is one expression at every such node."""
     h, a, z = Q.anchor.h, Q.anchor.a, Q.anchor.z
     (xi, xi1, xi2), at, seg, t, e = Q._live(s)
-    dpsi, ddpsi = tables
-    d1 = horner(dpsi, seg, t)
-    curv = d1 * d1 - horner(ddpsi, seg, t)
+    d1 = horner(Q.segments[:, 1], seg, t)
+    curv = d1 * d1 - horner(Q.segments[:, 2], seg, t)
     pot = P.eval_many(h, a + s[at]) - z
     comm = xi2 - 2.0 * xi1 * d1
     # -h^2 (xi'' - 2 xi' psi' + xi (psi'^2 - psi'')) + (V_h - z) xi
@@ -604,7 +612,8 @@ def residual_ratio(P, Q, allow_large_h=False):
     reported, and the last two passes go into the AccuracyError when no
     pair agrees.  A pass that is not finite raises AccuracyError at once,
     and so does an h whose last pass would have more nodes than numpy can
-    allocate, before anything is evaluated.
+    allocate, before anything is evaluated, and an accepted pass whose
+    r^2 is 0 or not finite (||f~||^2 underflowed, say).
 
     The construction's error analysis assumes h <= delta^2; by default
     larger h is rejected, but sweeps may pass ``allow_large_h=True`` to
@@ -652,6 +661,9 @@ def residual_ratio(P, Q, allow_large_h=False):
         )
 
     num_sq, den_sq, comm_sq = cur
+    if not (den_sq > 0 and 0 < num_sq / den_sq < math.inf):
+        raise AccuracyError(f"r^2 = {num_sq:.3e} / {den_sq:.3e} is not finite and > 0",
+                            estimates=(prev, cur))
     r = math.sqrt(num_sq / den_sq)
     return Certificate(
         z=anchor.z,
