@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 #: submodule -> the names it exports
 _EXPORTS = {
     "errors": (
-        "AccuracyError", "AnchorError", "BranchPointError",
-        "DegenerateAnchorError", "DomainError", "InfeasibleEnergyError",
-        "NoAnchorError", "QuasimodeError", "SectorError", "SingularityError",
+        "AccuracyError", "AnchorError", "DegenerateAnchorError", "DomainError",
+        "InfeasibleEnergyError", "NoAnchorError", "QuasimodeError", "SectorError",
         "UsageError",
     ),
     "jwkb": (
@@ -32,7 +31,7 @@ _EXPORTS = {
         "HighEnergyOperator", "ScalingMap", "highenergy_lower_bound", "region_U",
         "sector_check", "solve_anchor", "to_semiclassical",
     ),
-    "series": ("TruncatedSeries",),
+    "series": (),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

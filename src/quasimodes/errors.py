@@ -33,20 +33,6 @@ class SectorError(UsageError):
     code = "sector"
 
 
-class SingularityError(QuasimodeError):
-    """Series reciprocal of something vanishing at 0 (a turning point)."""
-
-    code = "turning_point"
-    exit_status = 3
-
-
-class BranchPointError(QuasimodeError):
-    """Series square root of something vanishing at 0."""
-
-    code = "branch_point"
-    exit_status = 3
-
-
 class AnchorError(QuasimodeError):
     """Base class for anchor construction failures."""
 
@@ -55,7 +41,8 @@ class AnchorError(QuasimodeError):
 
 
 class DegenerateAnchorError(AnchorError):
-    """Im V'(a) = 0, eta = 0, too short a reach, or no admissible cutoff radius."""
+    """Im V'(a) = 0, eta = 0 or of the wrong sign, an expansion that is not
+    finite at the anchor, too short a reach, or no admissible cutoff radius."""
 
     code = "degenerate_anchor"
 

@@ -23,10 +23,10 @@ Pipeline, for a potential family ``P`` and a validated anchor
    row (degenerate at the anchor), cut it short; it then reaches only the
    first centre it drops.
    h enters the march only via V_h.  With its rows it keeps ``psi_{-1}``
-   (:func:`_integrate`: constants summed outward from the anchor) and the
-   tail magnitudes at s = 0.  :func:`_fold` adds only what depends on h:
-   ``psi = sum_m h^m psi_m``, integrated the same way, with its psi' and
-   psi'' rows, and ``sum_j h^j phi_j``.
+   (:func:`_integrate`: constants summed outward from the anchor), the
+   joins and the tail magnitudes at s = 0, all read-only.  :func:`_fold`
+   adds only what depends on h: ``psi = sum_m h^m psi_m``, integrated the
+   same way, with its psi' and psi'' rows, and ``sum_j h^j phi_j``.
    When V_h has no h term, :func:`build_quasimode` keeps the last chain
    with its cutoff (step 3): the next call at the same anchor only folds
    the chain at its own h.
@@ -164,9 +164,12 @@ def _local_series(P, anchor, n, K, centers):
 
 @dataclass
 class _Chain:
-    """The h-free march, one entry per segment, sorted by centre."""
+    """The h-free march, one entry per segment, sorted by centre, with
+    read-only arrays (:func:`_march` freezes them); :meth:`locate` finds a
+    point's segment through ``joins``."""
 
     centers: np.ndarray
+    joins: np.ndarray  # (segment - 1,): midpoints of neighbouring centres
     derivs: np.ndarray  # (segment, n + 2, K + 1): psi_{-1}' .. psi_n'
     tails: np.ndarray  # (segment, n + 1, K + 1): phi_{n+2} .. phi_{2n+2}
     leading: np.ndarray  # (segment, K + 1): psi_{-1}, by :func:`_integrate`
@@ -174,6 +177,13 @@ class _Chain:
     origin: int  # index of the anchor's segment
     n: int
     tail_magnitudes: tuple  # max |coefficient| of phi_{n+2} .. phi_{2n+2} at s = 0
+
+    def locate(self, s):
+        """(segment, t = s - its centre) of each point: the segment with the
+        nearest centre (ties go right), found once for every table."""
+        s = np.asarray(s, dtype=float)
+        seg = np.searchsorted(self.joins, s, side="right")
+        return seg, s - self.centers[seg]
 
 
 def _march(P, anchor, n, K=None):
@@ -215,8 +225,11 @@ def _march(P, anchor, n, K=None):
                          np.min(cut[cut > 0], initial=walls[0])])
     o = int(usable[:o].sum())
     centers, derivs, tails = centers[usable], derivs[usable], tails[usable]
-    return _Chain(centers, derivs, tails, _integrate(derivs[:, 0], centers, o),
-                  coverage, o, n, tuple(abs(tails[o]).max(1).tolist()))
+    arrays = (centers, 0.5 * (centers[:-1] + centers[1:]), derivs, tails,
+              _integrate(derivs[:, 0], centers, o), coverage)
+    for array in arrays:
+        array.setflags(write=False)
+    return _Chain(*arrays, o, n, tuple(abs(tails[o]).max(1).tolist()))
 
 
 def _integrate(rows, centers, origin):
@@ -257,26 +270,14 @@ class PiecewisePhase:
     anchor: Anchor
     segments: np.ndarray  # (segment, 4, K + 1), sorted by center
 
-    def _locate(self, s):
-        """(segment, t = s - its centre) of each point: the segment with the
-        nearest centre (ties go right), found once for every table."""
-        s = np.asarray(s, dtype=float)
-        joins = 0.5 * (self.chain.centers[:-1] + self.chain.centers[1:])
-        seg = np.searchsorted(joins, s, side="right")
-        return seg, s - self.chain.centers[seg]
-
     def _eval(self, s, *tables):
         """Evaluate tables (one row per segment) at s; results are shaped like s."""
-        seg, t = self._locate(s)
+        seg, t = self.chain.locate(s)
         return tuple(horner(table, seg, t) for table in tables)
 
     def phase_at(self, s):
         """(psi, psi', psi'') of sum_m h^m psi_m at s (scalar or array)."""
         return self._eval(s, *self.segments[:, :3].transpose(1, 0, 2))
-
-    def leading_at(self, s):
-        """(psi_{-1}, psi_{-1}') without h weights, for certification."""
-        return self._eval(s, self.chain.leading, self.chain.derivs[:, 0])
 
     def tail_at(self, s):
         """sum_{m=n+2}^{2n+2} h^m phi_m(s), the interior residual factor."""
@@ -284,7 +285,7 @@ class PiecewisePhase:
 
 
 #: one slot, (key, chain, (delta, gamma, beta)) of the last build whose V_h
-#: has no h term, with read-only arrays; only :func:`build_quasimode` writes
+#: has no h term (a chain is read-only); only :func:`build_quasimode` writes
 #: it, replacing the entry whole, so a reader sees key, chain and cutoff of
 #: one build, and the module's own names never change.
 _last_build = [None]
@@ -376,7 +377,7 @@ class Quasimode(PiecewisePhase):
         counts as live, and so keeps a non-finite pass non-finite."""
         xi, xi1, xi2 = cutoff_eval(self.delta, s)
         at = np.flatnonzero(xi > 0)
-        seg, t = self._locate(s[at])
+        seg, t = self.chain.locate(s[at])
         e = np.exp(-horner(self.segments[:, 0], seg, t))
         live = np.flatnonzero(e != 0)
         at = at[live]
@@ -393,9 +394,10 @@ class Quasimode(PiecewisePhase):
         return out.reshape(s.shape)
 
 
-def select_delta(P, pw):
+def select_delta(P, chain, anchor):
     """Choose the cutoff radius and certify the concentration rate of the
-    phase ``pw`` of the family ``P``.
+    march ``chain`` of the family ``P`` at ``anchor``: both are h-free but
+    for V_h, so no fold at h is read.
 
     The grid has ``GAMMA_GRID`` points over ``SPAN_SHARE`` of the nearer
     wall: the nearest of ``DEFAULT_SPAN``, the domain edge and a real branch
@@ -408,15 +410,16 @@ def select_delta(P, pw):
     commutator.  gamma and the bound beta on |rho| come from the same
     samples within [-delta, delta].  Each quantity is read from its
     cheapest exact source: Re psi_{-1} from one real Horner pass over the
-    real parts of the psi_{-1} rows (the bits of the complex pass's real
-    part), and |2 psi_{-1}'| = 2 |V_h(a+s) - z|^(1/2) from the eikonal
-    equation and the exact potential, which the grid cannot leave since
-    it stays within ``SPAN_SHARE`` of the domain edge.  A reach so short
+    real parts of the chain's psi_{-1} rows at :meth:`_Chain.locate`'s
+    segments (the bits of the complex pass's real part), and |2 psi_{-1}'|
+    = 2 |V_h(a+s) - z|^(1/2) from the eikonal equation and the exact
+    potential, which the grid cannot leave since it stays within
+    ``SPAN_SHARE`` of the domain edge.  A reach so short
     that the grid's smallest delta does not suit the cutoff
     (:func:`_cutoff_fits`) is refused before anything is divided.  Returns
     (delta, gamma, beta).
     """
-    lo, hi = pw.chain.coverage
+    lo, hi = chain.coverage
     span = SPAN_SHARE * min(-lo, hi)
     half = GAMMA_GRID // 2
     x = span * np.arange(1, half + 1) / half
@@ -425,9 +428,8 @@ def select_delta(P, pw):
     if not _cutoff_fits(x[1]):
         raise DegenerateAnchorError("analytic continuation has too short a reach")
     s = np.concatenate([-x[::-1], x])
-    (re,) = pw._eval(s, pw.chain.leading.real)
+    re = horner(chain.leading.real, *chain.locate(s))
     q = re / s**2
-    anchor = pw.anchor
     dp = 2.0 * np.sqrt(np.abs(P.eval_many(anchor.h, anchor.a + s) - anchor.z))
     # symmetric prefix condition: both sides admissible out to index k
     q_sym = np.minimum(q[half:], q[half - 1 :: -1])
@@ -457,20 +459,17 @@ def build_quasimode(P, anchor, n, K=None):
     """Full construction: continued phases plus certified (delta, gamma).
 
     The march and :func:`select_delta` read h only via V_h.  So when no
-    term of V_h carries h, the chain and its (delta, gamma, beta) are kept,
-    read-only, under a key of all they read but h (:func:`_build_key`); the
-    next call with that key only folds the chain at its own h, and a build
-    under another key replaces them."""
+    term of V_h carries h, the (read-only) chain and its (delta, gamma,
+    beta) are kept under a key of all they read but h (:func:`_build_key`);
+    the next call with that key only folds the chain at its own h, and a
+    build under another key replaces them."""
     key = _build_key(P, anchor, n, K)
     last = _last_build[0]
     if last is not None and last[0] == key:  # a kept key is never None
         return Quasimode(last[1], anchor, _fold(last[1], anchor), *last[2])
     pw = build_piecewise(P, anchor, n, K)
-    cutoff = select_delta(P, pw)
+    cutoff = select_delta(P, pw.chain, anchor)
     if key is not None:
-        for array in (pw.chain.centers, pw.chain.derivs, pw.chain.tails,
-                      pw.chain.leading, pw.chain.coverage):
-            array.setflags(write=False)
         _last_build[0] = (key, pw.chain, cutoff)
     return Quasimode(pw.chain, anchor, pw.segments, *cutoff)
 

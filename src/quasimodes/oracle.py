@@ -226,17 +226,28 @@ def default_discretization(P, anchor, delta):
     return Discretization(x_lo=x_lo, x_hi=x_hi, n_interior=n)
 
 
+def _sampled_quasimode(cert):
+    """The quasimode of ``cert``, which must have one at its own z: a
+    high-energy certificate records sigma*z, while its f~ is built at z on
+    the dilated family, so no grid samples it at the certificate's z."""
+    Q = cert.quasimode
+    if Q is None:
+        raise UsageError("certificate has no attached quasimode to sample")
+    if cert.z != Q.anchor.z:
+        raise UsageError(f"certificate z = {cert.z} is not its quasimode's "
+                         f"z = {Q.anchor.z} (a rescaled certificate)")
+    return Q
+
+
 def discrete_residual(cert, P, disc):
     """||T f~ - z f~|| / ||f~|| for the quasimode sampled on the grid.
 
     No resolution guard: used for grid-refinement studies, where the
     coarse grids intentionally under-resolve.
     """
-    if cert.quasimode is None:
-        raise UsageError("certificate has no attached quasimode to sample")
-    anchor = cert.quasimode.anchor
+    Q = _sampled_quasimode(cert)
     T = assemble(P, cert.h, disc)
-    return _residual(T, cert.z, cert.quasimode.values(disc.grid() - anchor.a))
+    return _residual(T, cert.z, Q.values(disc.grid() - Q.anchor.a))
 
 
 def _residual(T, z, v):
@@ -250,13 +261,11 @@ def validate(cert, P, disc):
     scale [a - 8*sqrt(h), a + 8*sqrt(h)], resolve it with at least 40
     points per sqrt(h) (dx <= sqrt(h)/40), and the sampled mode must be
     negligible at the endpoints so the Dirichlet truncation is harmless.
-    The certificate must still carry its quasimode so the mode can be
-    sampled on the grid.
+    The certificate must still carry its quasimode, at the certificate's
+    own z, so the mode can be sampled on the grid.
     """
-    if cert.quasimode is None:
-        raise UsageError("certificate has no attached quasimode to sample")
-    anchor = cert.quasimode.anchor
-    a, h = anchor.a, cert.h
+    Q = _sampled_quasimode(cert)
+    a, h = Q.anchor.a, cert.h
     reach = 8.0 * math.sqrt(h)
     lo_needed = max(a - reach, P.x_min + disc.dx)
     if disc.x_lo > lo_needed or disc.x_hi < a + reach:
@@ -269,7 +278,7 @@ def validate(cert, P, disc):
             f"dx = {disc.dx:.3e} too coarse; need <= sqrt(h)/40 = "
             f"{math.sqrt(h) / 40.0:.3e}"
         )
-    v = cert.quasimode.values(disc.grid() - a)
+    v = Q.values(disc.grid() - a)
     edge = max(abs(v[0]), abs(v[-1]))
     if edge > 1e-6 * np.abs(v).max():
         raise UsageError(

@@ -10,15 +10,18 @@ so the degree never grows silently; two operands must share the same K.
 Values are immutable and all operations are pure.
 
 The reciprocal and square root use the standard coefficient recursions,
-the reference for the batched ones of :mod:`jwkb`, and fail loudly when
-the constant term vanishes (a zero of the series at s = 0).
+the reference for the batched ones of :mod:`jwkb`, and raise
+:class:`UsageError` when the constant term vanishes (a zero of the series
+at s = 0).  The package never builds a :class:`TruncatedSeries` itself:
+the class is the tests' reference, and it stays here because the
+benchmark's tracer patches it in this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchPointError, SingularityError, UsageError
+from .errors import UsageError
 
 #: relative tolerance for usage validation (e.g. branch consistency)
 VALIDATION_RTOL = 1e-10
@@ -85,13 +88,13 @@ class TruncatedSeries:
     def recip(self):
         """Multiplicative inverse: b with a*b = 1 + O(s**(K+1)).
 
-        Raises :class:`SingularityError` when the constant term vanishes,
+        Raises :class:`UsageError` when the constant term vanishes,
         i.e. when the series has a zero at s = 0 (a turning point for the
         phase derivative).
         """
         a = self.coeffs
         if a[0] == 0:
-            raise SingularityError("reciprocal of a series vanishing at 0")
+            raise UsageError("reciprocal of a series vanishing at 0")
         b = np.zeros_like(a)
         b[0] = 1.0 / a[0]
         for k in range(1, a.size):
@@ -102,11 +105,11 @@ class TruncatedSeries:
         """Square root with prescribed value ``branch`` at s = 0.
 
         ``branch**2`` must equal the constant term to relative 1e-10.
-        Raises :class:`BranchPointError` when the constant term vanishes.
+        Raises :class:`UsageError` when the constant term vanishes.
         """
         a = self.coeffs
         if a[0] == 0:
-            raise BranchPointError("square root of a series vanishing at 0")
+            raise UsageError("square root of a series vanishing at 0")
         branch = complex(branch)
         if abs(branch * branch - a[0]) > VALIDATION_RTOL * abs(a[0]):
             raise UsageError(

@@ -60,3 +60,8 @@ def anchor_expansion(P, anchor, n, K=None):
     rhs = TruncatedSeries(jwkb.eikonal_rhs(P, anchor, derivs[0].K))
     psi = [d.antideriv(0.0) for d in derivs]
     return (psi, *phi_chain(derivs, rhs, n, 0))
+
+
+def leading_at(pw, s):
+    """(psi_{-1}, psi_{-1}') of the chain of ``pw`` at s, without h weights."""
+    return pw._eval(s, pw.chain.leading, pw.chain.derivs[:, 0])

@@ -108,6 +108,30 @@ def test_config_file_defaults(capsys, cubic_file, tmp_path):
     assert json.loads(out)["h"] == pytest.approx(0.1)
 
 
+def test_config_comments_and_blank_lines_are_ignored(capsys, cubic_file, tmp_path):
+    plain, annotated = tmp_path / "plain.cfg", tmp_path / "annotated.cfg"
+    plain.write_text("a = 1\neta = 1\nh = 0.1\n")
+    annotated.write_text("# an anchor of i x^3\n\na = 1  # its point\n   \neta = 1\nh = 0.1\n")
+    outputs = [run(capsys, "quasimode", "--potential", cubic_file, "--config",
+                   str(cfg), "--allow-large-h") for cfg in (plain, annotated)]
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-h", "--a", "1", "--eta", "1", "--h-list", ","],
+         "argument --h-list: empty numeric list"),
+        ([*REGION[:5], "--a-count", "0", *REGION[7:], "--h", "0.05"],
+         "--a-count must be >= 1"),
+    ],
+    ids=["h-list-empty", "a-count-zero"],
+)
+def test_a_refusal_names_its_option(capsys, cubic_file, argv, message):
+    code, out, err = run(capsys, *argv, "--potential", cubic_file)
+    assert (code, out, err) == (2, "", f"error:usage: {message}\n")
+
+
 def test_flag_wins_over_config(capsys, cubic_file, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a = 1\neta = 1\nh = 0.2\n")
@@ -397,7 +421,7 @@ def test_star_import_binds_every_export_from_its_submodule():
         "for n in names]\n"
         "print(len(names), all(same), certify is quasimodes.jwkb.certify)"
     )
-    assert proc.stdout == "40 True True\n"
+    assert proc.stdout == "37 True True\n"
 
 
 def test_submodule_resolves_after_plain_import():

@@ -1,10 +1,11 @@
 """Phase construction, cutoff, and residual certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from chains import anchor_expansion, operator_chain, phi_chain
+from chains import anchor_expansion, leading_at, operator_chain, phi_chain
 
 from quasimodes import jwkb, scaling
 from quasimodes.errors import AccuracyError, DegenerateAnchorError, UsageError
@@ -372,8 +373,8 @@ def test_piecewise_leading_continuous_at_segment_joins():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
     joins = 0.5 * (pw.chain.centers[:-1] + pw.chain.centers[1:])
     for sj in joins:
-        va, _ = pw.leading_at(sj - 1e-9)
-        vb, _ = pw.leading_at(sj + 1e-9)
+        va, _ = leading_at(pw, sj - 1e-9)
+        vb, _ = leading_at(pw, sj + 1e-9)
         assert abs(va - vb) < 1e-7 * max(1.0, abs(va))
 
 
@@ -382,7 +383,7 @@ def test_piecewise_join_midpoint_goes_to_right_segment():
     joins = 0.5 * (pw.chain.centers[:-1] + pw.chain.centers[1:])
     for k, sj in enumerate(joins):
         right = TruncatedSeries(pw.chain.leading[k + 1])  # psi_{-1}, segment k + 1
-        assert pw.leading_at(sj)[0] == right.eval(sj - pw.chain.centers[k + 1])
+        assert leading_at(pw, sj)[0] == right.eval(sj - pw.chain.centers[k + 1])
 
 
 def test_piecewise_arrays_match_scalar_calls():
@@ -390,7 +391,7 @@ def test_piecewise_arrays_match_scalar_calls():
     rng = np.random.default_rng(7)
     s = rng.permutation(np.linspace(-2.5, 2.5, 60)).reshape(4, 15)
     assert len(np.unique(np.searchsorted(pw.chain.centers, s))) > 3
-    for method in (pw.phase_at, pw.leading_at, lambda x: (pw.tail_at(x),)):
+    for method in (pw.phase_at, lambda x: leading_at(pw, x), lambda x: (pw.tail_at(x),)):
         arrays = method(s)
         for i, j in np.ndindex(s.shape):
             for got, ref in zip(arrays, method(s[i, j])):
@@ -441,11 +442,11 @@ def test_cutoff_refuses_a_bad_delta_and_drops_a_nan_point():
 
 def test_select_delta_certifies_concentration():
     pw = jwkb.build_piecewise(IX3, cubic_anchor(), 0)
-    delta, gamma, beta = jwkb.select_delta(IX3, pw)
+    delta, gamma, beta = jwkb.select_delta(IX3, pw.chain, pw.anchor)
     assert delta > 0 and gamma > 0 and beta > 0
     s = np.linspace(-delta, delta, 401)
     s = s[s != 0]
-    v, d1 = pw.leading_at(s)
+    v, d1 = leading_at(pw, s)
     # gamma/beta are certified on their own grid; allow a small slack for
     # the different sample points used here
     assert np.all(v.real >= 0.95 * gamma * s**2)
@@ -472,7 +473,7 @@ def brute_force_delta(P, pw):
     and Re psi_{-1} from the complex evaluation of the chain."""
     x, s = delta_grid(pw)
     half = x.size
-    v, _ = pw.leading_at(s)
+    v, _ = leading_at(pw, s)
     q = v.real / s**2
     dp = eikonal_dp(P, pw, s)
     q_sym = np.minimum(q[half:], q[half - 1 :: -1])
@@ -497,10 +498,10 @@ def test_select_delta_matches_brute_force(P, a, eta):
     for n in (0, 2):
         for h in (0.5, 0.05, 0.00625):
             pw = jwkb.build_piecewise(P, make_anchor(P, h, a, eta), n)
-            assert jwkb.select_delta(P, pw) == brute_force_delta(P, pw)
+            assert jwkb.select_delta(P, pw.chain, pw.anchor) == brute_force_delta(P, pw)
             # the chain's psi_{-1}' solves the eikonal equation on the grid
             _, s = delta_grid(pw)
-            series_dp = np.abs(2.0 * pw.leading_at(s)[1])
+            series_dp = np.abs(2.0 * leading_at(pw, s)[1])
             exact_dp = eikonal_dp(P, pw, s)
             assert np.all(abs(series_dp - exact_dp) <= 1e-11 * exact_dp)
 
@@ -837,6 +838,21 @@ def test_a_reused_chain_is_read_only():
             array[0] = 0.0
     # each h folds its own phases from the shared chain
     assert second.segments is not first.segments
+
+
+def test_every_chain_is_read_only():
+    # a chain is finished when the march returns it, whether kept or not
+    pw = jwkb.build_piecewise(IX3, cubic_anchor(0.05), 1)
+    assert jwkb._last_build[0] is None
+    chain = pw.chain
+    assert np.array_equal(chain.joins, 0.5 * (chain.centers[:-1] + chain.centers[1:]))
+    arrays = [getattr(chain, f.name) for f in dataclasses.fields(chain)]
+    arrays = [array for array in arrays if isinstance(array, np.ndarray)]
+    assert len(arrays) == 6
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_build_piecewise_keeps_no_state(monkeypatch):

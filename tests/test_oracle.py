@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quasimodes import jwkb, oracle
+from quasimodes import jwkb, oracle, scaling
 from quasimodes.cli import main
 from quasimodes.errors import AccuracyError, UsageError
 from quasimodes.potential import PotentialFamily, make_anchor
@@ -42,6 +42,8 @@ def test_assemble_stencil_entries():
     k = h * h / disc.dx**2
     np.testing.assert_allclose(T.diag, 2 * k + 2.0)
     np.testing.assert_allclose(T.off, -k)
+    with pytest.raises(UsageError, match="domain edge"):  # x_lo on the half-line's edge
+        oracle.assemble(HALFLINE, h, oracle.Discretization(0.0, 1.0, 3))
 
 
 def test_matvec():
@@ -82,6 +84,10 @@ def test_exactly_singular_matrix_gives_zero():
     T = oracle.assemble(P, 0.25, oracle.Discretization(0.0, 1.0, 3))
     assert oracle.factor_tridiagonal(T.diag - 2.0, T.off) is None
     assert oracle.smallest_singular_value(T, 2.0) == 0.0
+    # a zero pivot with nothing to swap in, before the last row
+    T = oracle.TridiagonalOperator(np.array([0j, 1, 1]), np.array([0j, 1]))
+    assert oracle.factor_tridiagonal(T.diag, T.off) is None
+    assert oracle.smallest_singular_value(T, 0.0) == 0.0
 
 
 def test_solve_pivots_past_a_zero_leading_pivot():
@@ -188,6 +194,27 @@ def test_validate_guards():
     bare.quasimode = None
     with pytest.raises(UsageError):
         oracle.validate(bare, IX3, oracle.Discretization(-2.0, 4.0, 2000))
+    with pytest.raises(UsageError, match="no attached quasimode"):
+        oracle.discrete_residual(bare, IX3, oracle.Discretization(-2.0, 4.0, 2000))
+    # a weakly non-self-adjoint linear potential: f~ is still 0.355 of its
+    # peak at a +- 8 sqrt(h), so Dirichlet walls there would cut it
+    P = PotentialFamily(((1 + 0.05j, 1, 0),))
+    wide = jwkb.certify(P, make_anchor(P, 0.05, 0.0, 1.0), 0)
+    reach = 8.0 * math.sqrt(0.05)
+    with pytest.raises(UsageError, match="not negligible at the interval endpoints"):
+        oracle.validate(wide, P, oracle.Discretization(-reach, reach, 800))
+
+
+def test_oracle_refuses_a_rescaled_high_energy_certificate():
+    # the certificate records sigma*z, but its f~ is the dilated family's at z:
+    # sampled at sigma*z, it read discrete_residual 99.0 against r = 1.68
+    HE = scaling.HighEnergyOperator(QUARTIC)
+    cert = scaling.highenergy_lower_bound(HE, cmath.exp(1j * math.pi / 8), 100.0, 2)
+    family = scaling.to_semiclassical(HE, 100.0).family
+    disc = oracle.default_discretization(family, cert.quasimode.anchor, cert.delta)
+    for check in (oracle.validate, oracle.discrete_residual):
+        with pytest.raises(UsageError, match="rescaled"):
+            check(cert, family, disc)
 
 
 def test_discrete_residual_second_order():

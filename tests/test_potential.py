@@ -66,6 +66,8 @@ def test_taylor_matches_eval():
     ts = TruncatedSeries(P.taylor_at(h, a, 8))
     for s in (-0.3, 0.0, 0.41):
         assert abs(ts.eval(s) - P.eval(h, a + s)) < 1e-9
+    with pytest.raises(UsageError, match="truncation degree"):
+        P.taylor_at(h, a, 0)
 
 
 def test_taylor_halfline_centrifugal():
@@ -150,6 +152,8 @@ def test_domain_validation():
         PotentialFamily(((1.0, 2, 0), (1.0, 1, 0)))  # not increasing
     with pytest.raises(UsageError):
         PotentialFamily((), domain="line")
+    with pytest.raises(UsageError, match="unknown domain"):
+        PotentialFamily(((1.0, 2, 0),), domain="circle")
     P = PotentialFamily(((1.0, -2, 0),), domain="halfline")
     with pytest.raises(DomainError):
         P.eval(0.0, -1.0)

@@ -31,6 +31,10 @@ def test_highenergy_operator_validation():
         scaling.HighEnergyOperator(PotentialFamily(((1 - 1j, 4, 0),)))
     with pytest.raises(UsageError):
         scaling.HighEnergyOperator(PotentialFamily(((1 + 1j, 4, 0.5),)))
+    with pytest.raises(UsageError, match="even integer"):  # odd top on the line
+        scaling.HighEnergyOperator(PotentialFamily(((1 + 1j, 3, 0),)))
+    with pytest.raises(UsageError, match="exponent must be positive"):
+        scaling.HighEnergyOperator(PotentialFamily(((1 + 1j, -1, 0),), domain="halfline"))
 
 
 def test_rescaling_exponents():
