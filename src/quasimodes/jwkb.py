@@ -44,12 +44,16 @@ Pipeline, for a potential family ``P`` and a validated anchor
    panels for k = -3 .. ``MAX_DOUBLINGS``, where ``P0 = max(64,
    ceil(8 delta / sqrt(h)))``, and stop at the first pair that agrees to
    ``QUAD_RTOL``.  The first two passes share one evaluation of the
-   residual, so a certificate that ends at that pair takes one.  An
-   evaluation takes its nodes ``RESIDUAL_BLOCK`` at a time.  One rule
-   (:meth:`Quasimode._live`) finds f~'s support for the residual and
-   :meth:`Quasimode.values` alike: the cutoff at every node, then psi
-   where it is nonzero, then the nodes where exp(-psi) is not 0.  There
-   the residual evaluates psi', psi'' and V_h, one expression per part.
+   residual, so a certificate that ends at that pair takes one.  A pass
+   evaluates only the panels that meet :attr:`Quasimode.support`, the
+   hull of the segments where a coefficient bound leaves |f~| above
+   eps^2, and sums exact zeros for the others.  An evaluation takes its
+   nodes ``RESIDUAL_BLOCK`` at a time.  One rule
+   (:meth:`Quasimode._live`) finds where f~ can be nonzero for the
+   residual and :meth:`Quasimode.values` alike: the cutoff at every
+   node, then psi where it is nonzero, then the nodes where exp(-psi) is
+   not 0.  There the residual evaluates psi', psi'' and V_h, one
+   expression per part.
 
 The transport recursion forces ``phi_0 .. phi_{n+1}`` to vanish; the
 tail ``phi_{n+2} .. phi_{2n+2}`` drives the O(h^{n+2}) residual.
@@ -383,6 +387,23 @@ class Quasimode(PiecewisePhase):
         at = at[live]
         return (xi[at], xi1[at], xi2[at]), at, seg[live], t[live], e[live]
 
+    @functools.cached_property
+    def support(self):
+        """(lo, hi): the hull of the cells [join_{i-1}, join_i] within
+        [-delta, delta] that a bound keeps.  On a cell whose ends lie within
+        rho of its centre, Re psi >= Re c_0 - sum_{k>=1} |c_k| rho^k (c: its
+        psi row); above -2 ln eps, |f~| <= eps^2 = eps^2 f~(0) there.  A nan
+        bound keeps its cell, and the anchor's, with bound <= 0, is kept."""
+        d, c, psi = self.delta, self.chain.centers, self.segments[:, 0]
+        ends = np.clip(np.concatenate([[-d], self.chain.joins, [d]]), -d, d)
+        lo, hi = ends[:-1], ends[1:]
+        rho = np.maximum(c - lo, hi - c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rest = np.abs(psi[:, 1:]) * rho[:, None] ** np.arange(1, psi.shape[1])
+            bound = psi[:, 0].real - rest.sum(1)
+        keep = (lo < hi) & ~(bound > -2.0 * math.log(sys.float_info.epsilon))
+        return float(lo[keep][0]), float(hi[keep][-1])
+
     def values(self, s):
         """f~(a + s) = cutoff(s) * exp(-psi(s)) on the local grid s: the
         bits of :func:`residual_pointwise`'s second part, +0 off the
@@ -479,7 +500,10 @@ def build_quasimode(P, anchor, n, K=None):
 
 @dataclass
 class Certificate:
-    """A point z with a certified resolvent-norm lower bound 1/r."""
+    """A point z with a certified resolvent-norm lower bound 1/r.  Its
+    ``diagnostics`` (not in :meth:`to_dict`) hold ``bound_below_one`` (r >
+    1), the quadrature's ``support`` (:attr:`Quasimode.support`) and
+    ``cutoff_term_sq``, the cutoff commutator's part over the support only."""
 
     z: complex
     h: float
@@ -574,27 +598,35 @@ def _legendre_rule():
 def _panel_quadrature(P, Q, *counts):
     """Integrals of |residual|^2, |f~|^2 and the cutoff-commutator part,
     one triple per panel count, from one :func:`residual_pointwise` call on
-    the nodes of all the counts: a count's nodes and weights, and so its
-    sum over its own contiguous slice, keep the bits of a call on it alone."""
-    delta = Q.delta
+    the nodes of all the counts' panels that meet ``Q.support``.  Each
+    count's terms are summed at full length, with exact zeros off the
+    support, so its nodes, weights and sum keep the bits of a call on it
+    alone."""
+    delta, (left, right) = Q.delta, Q.support
     nodes, weights = _legendre_rule()
-    s, w = [], []
+    s, w, runs = [], [], []
     for panels in counts:
         edges = np.linspace(-delta, delta, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
+        # the panels that meet [left, right] run from first to last
+        first = np.searchsorted(edges[1:], left)
+        last = np.searchsorted(edges[:-1], right, side="right")
+        mid = 0.5 * (edges[first:last] + edges[first + 1 : last + 1])
         half = 0.5 * (edges[1] - edges[0])
         s.append((mid[:, None] + half * nodes[None, :]).ravel())
-        w.append(np.broadcast_to(half * weights, (panels, PANEL_NODES)).ravel())
+        w.append(np.broadcast_to(half * weights, (last - first, PANEL_NODES)).ravel())
+        runs.append((panels, first * PANEL_NODES, last * PANEL_NODES))
     s, w = np.concatenate(s), np.concatenate(w)
     # exp(-psi) may overflow; residual_ratio turns a non-finite pass into
     # one AccuracyError, so numpy need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [w * np.abs(part) ** 2 for part in residual_pointwise(P, Q, s)]
-    ends = np.cumsum([0, *counts]) * PANEL_NODES
-    return [
-        tuple(float(np.sum(term[lo:hi])) for term in terms)
-        for lo, hi in zip(ends, ends[1:])
-    ]
+        live = w * np.abs(residual_pointwise(P, Q, s)) ** 2
+    out, done = [], 0
+    for panels, lo, hi in runs:
+        terms = np.zeros((3, panels * PANEL_NODES))
+        terms[:, lo:hi] = live[:, done : done + hi - lo]
+        done += hi - lo
+        out.append(tuple(float(np.sum(term)) for term in terms))
+    return out
 
 
 def residual_ratio(P, Q, allow_large_h=False):
@@ -609,10 +641,14 @@ def residual_ratio(P, Q, allow_large_h=False):
     ||Hf~ - z f~||^2 and ||f~||^2 both change by at most QUAD_RTOL
     (relative) from the pass before ends the quadrature.  Its panels are
     reported, and the last two passes go into the AccuracyError when no
-    pair agrees.  A pass that is not finite raises AccuracyError at once,
-    and so does an h whose last pass would have more nodes than numpy can
-    allocate, before anything is evaluated, and an accepted pass whose
-    r^2 is 0 or not finite (||f~||^2 underflowed, say).
+    pair agrees.  Each pass evaluates only its panels that meet
+    ``Q.support`` and counts all three integrands as 0 on the others,
+    where |f~| <= eps^2; so the cutoff commutator's part reads 0.0 when
+    the seam lies off the support.  A pass that is not finite raises
+    AccuracyError at once, and so does an h whose last pass would have
+    more nodes than numpy can allocate, before anything is evaluated, and
+    an accepted pass whose r^2 is 0 or not finite (||f~||^2 underflowed,
+    say).
 
     The construction's error analysis assumes h <= delta^2; by default
     larger h is rejected, but sweeps may pass ``allow_large_h=True`` to
@@ -681,6 +717,8 @@ def residual_ratio(P, Q, allow_large_h=False):
             "residual_sq": num_sq,
             "cutoff_term_sq": comm_sq,
             "gamma_grid": GAMMA_GRID,
+            "support": Q.support,
+            "bound_below_one": r > 1,
         },
         quasimode=Q,
     )

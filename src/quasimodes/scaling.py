@@ -188,7 +188,12 @@ def highenergy_lower_bound(HE, z, sigma, n_order, K=None):
     The anchor is :func:`solve_anchor`'s scan of the dilated family at its
     h, without a guess.  The returned certificate records the high-energy
     point sigma*z; its lower_bound includes the sigma^-1 transfer factor
-    and r is rescaled so that lower_bound * r = 1 still holds.
+    and r is rescaled so that lower_bound * r = 1 still holds.  Only z, r,
+    lower_bound and ``diagnostics["bound_below_one"]`` are in the fixed
+    operator's frame.  h, delta, gamma, panels, tail_magnitudes and the
+    quadrature's diagnostics (beta, norm_f_sq, residual_sq, cutoff_term_sq,
+    support) stay in the dilated family's frame, whose own z and r are
+    ``diagnostics["semiclassical_z"]`` and ``["semiclassical_r"]``.
     """
     c_n = HE.potential.top[0]
     if not sector_check(z, c_n):
@@ -203,11 +208,13 @@ def highenergy_lower_bound(HE, z, sigma, n_order, K=None):
         smap.family, anchor, n_order, K, allow_large_h=True
     )
     lower = cert.lower_bound * (1.0 / smap.sigma)
+    cert.diagnostics.update(
+        {"sigma": smap.sigma, "u": smap.u, "semiclassical_h": smap.h,
+         "semiclassical_z": cert.z, "semiclassical_r": cert.r,
+         "anchor_a": anchor.a, "anchor_eta": anchor.eta}
+    )
     cert.z = sigma * complex(z)
     cert.lower_bound = lower
     cert.r = 1.0 / lower
-    cert.diagnostics.update(
-        {"sigma": smap.sigma, "u": smap.u, "semiclassical_h": smap.h,
-         "anchor_a": anchor.a, "anchor_eta": anchor.eta}
-    )
+    cert.diagnostics["bound_below_one"] = cert.r > 1
     return cert

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import quasimodes
 
 from quasimodes import cli, jwkb, oracle, potential, scaling, series
@@ -39,11 +40,19 @@ def test_tracer_counts_segments_and_quadrature_passes():
     assert tracer.counter("jwkb.segments")[2] == segments
     calls, _, nodes = tracer.counter("jwkb.quad_pass")
     # one residual evaluation for the first two passes, ceil(P0/8) and
-    # ceil(P0/4) panels, then one per pass: the reported pass is in the last
+    # ceil(P0/4) panels, then one per pass: the reported pass is in the last;
+    # a pass evaluates the panels of its uniform layout that meet the support
     p0 = max(64, math.ceil(8.0 * cert.delta / math.sqrt(anchor.h)))
     schedule = [math.ceil(p0 * 2.0**k) for k in range(-3, jwkb.MAX_DOUBLINGS + 1)]
     last = schedule.index(cert.panels)
-    want = [schedule[0] + schedule[1]] + schedule[2 : last + 1]
+    lo, hi = cert.diagnostics["support"]
+
+    def meeting(panels):
+        edges = np.linspace(-cert.delta, cert.delta, panels + 1)
+        return int(((edges[1:] >= lo) & (edges[:-1] <= hi)).sum())
+
+    want = [meeting(schedule[0]) + meeting(schedule[1])]
+    want += [meeting(panels) for panels in schedule[2 : last + 1]]
     assert tracer._pass_nodes == [p * jwkb.PANEL_NODES for p in want]
     assert calls == len(want) and nodes == sum(tracer._pass_nodes)
     metrics = tracer.layer_metrics()

@@ -654,6 +654,81 @@ def test_r_agrees_with_a_pass_at_eight_times_its_panels(P, a, eta, h, n):
     assert cert.r == pytest.approx(math.sqrt(num / den), rel=jwkb.QUAD_RTOL, abs=0)
 
 
+#: the ladder cases and the half-line anchor, (P, a, eta)
+SUPPORT_CASES = pytest.mark.parametrize(
+    "P, a, eta",
+    [(IX, 0.0, 1.0), (IX3, 1.0, 1.0), (X4, 1.0, 1.0), (HALF, 0.62, 0.6)],
+    ids=["ix", "ix3", "x4", "halfline"],
+)
+
+#: Quasimode.support drops the cells where |f~| <= exp(-SUPPORT_EXPONENT)
+SUPPORT_EXPONENT = -2.0 * math.log(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("h", [0.05, 0.025, 0.00625])
+@SUPPORT_CASES
+def test_f_is_below_eps_squared_off_its_support(P, a, eta, h, n):
+    Q = jwkb.build_quasimode(P, make_anchor(P, h, a, eta), n)
+    lo, hi = Q.support
+    assert -Q.delta <= lo <= 0.0 <= hi <= Q.delta
+    s = np.linspace(-Q.delta, Q.delta, 20001)
+    off = s[(s < lo) | (s > hi)]
+    assert (np.abs(Q.values(off)) <= math.exp(-SUPPORT_EXPONENT)).all()
+
+
+def full_domain_quadrature(P, Q, panels):
+    """The three integrals of _panel_quadrature with every node of every
+    panel of the uniform layout through residual_pointwise."""
+    nodes, weights = jwkb._legendre_rule()
+    edges = np.linspace(-Q.delta, Q.delta, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    s = (mid[:, None] + half * nodes[None, :]).ravel()
+    w = np.broadcast_to(half * weights, (panels, jwkb.PANEL_NODES)).ravel()
+    parts = jwkb.residual_pointwise(P, Q, s)
+    return tuple(float(np.sum(w * np.abs(part) ** 2)) for part in parts)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("h", [0.05, 0.025, 0.00625])
+@SUPPORT_CASES
+def test_the_support_keeps_the_bits_of_the_full_domain(P, a, eta, h, n):
+    cert = jwkb.certify(P, make_anchor(P, h, a, eta), n, allow_large_h=True)
+    Q = cert.quasimode
+    schedule = quadrature_schedule(Q)
+    i = schedule.index(cert.panels)
+    counts = schedule[i - 1 : i + 1]
+    for panels, got in zip(counts, jwkb._panel_quadrature(P, Q, *counts)):
+        ref = full_domain_quadrature(P, Q, panels)
+        assert [x.hex() for x in got[:2]] == [x.hex() for x in ref[:2]]
+        # the commutator's part loses only what lies off the support
+        assert abs(got[2] - ref[2]) <= np.finfo(float).eps ** 4 * ref[0]
+
+
+def test_a_non_finite_segment_keeps_the_whole_cutoff_domain():
+    Q = jwkb.build_quasimode(IX, linear_anchor(0.00625), 2)
+    d = Q.delta
+    assert Q.support != (-d, d)
+    segments = Q.segments.copy()
+    segments[Q.chain.locate(np.array([-d, d]))[0], 0, 1] = np.nan
+    broken = dataclasses.replace(Q, segments=segments)
+    assert broken.support == (-d, d)
+    with pytest.raises(AccuracyError, match="not finite"):
+        jwkb.residual_ratio(IX, broken)
+
+
+@pytest.mark.parametrize(
+    "P, a, eta, below_one", [(HALF, 0.62, 0.6, True), (IX3, 1.0, 1.0, False)]
+)
+def test_a_bound_below_one_is_recorded(P, a, eta, below_one):
+    # in the diagnostics, not the warnings, so the default bytes stay
+    cert = jwkb.certify(P, make_anchor(P, 0.05, a, eta), 2)
+    assert cert.diagnostics["bound_below_one"] is below_one
+    assert (cert.r > 1) is below_one
+    assert cert.warnings == []
+
+
 @pytest.mark.parametrize("h", [1e-30, 1e-300])
 def test_a_quadrature_too_large_to_allocate_fails_before_evaluating(monkeypatch, h):
     Q = jwkb.build_quasimode(IX3, cubic_anchor(h), 0)

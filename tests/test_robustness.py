@@ -60,7 +60,8 @@ def certify_quietly(P, h, a, eta, n, K=None):
 def runs_the_whole_schedule(out):
     """The open defect of the first FOUND entry in CHANGES.md: a quadrature
     that does not converge gives up only after its last pass, P0 * 2^8
-    panels, which takes 1.5-2.5 s at h ~ 3e-3 (see the xfail below)."""
+    panels, which takes about 0.7 s at h ~ 3e-3 now that a pass skips the
+    panels off f~'s support (1.8-2.3 s before; see the xfail below)."""
     return isinstance(out, AccuracyError) and str(out) == "quadrature did not converge"
 
 

@@ -240,6 +240,21 @@ def test_highenergy_lower_bound_transfer():
     assert cert.lower_bound.hex() == (semi.lower_bound * (1.0 / sigma)).hex()
 
 
+def test_a_high_energy_certificate_records_its_dilated_frame():
+    # the fixed operator's r is sigma times the family's: h, delta, panels
+    # and the quadrature's diagnostics belong to the family
+    HE = scaling.HighEnergyOperator(QUARTIC)
+    cert = scaling.highenergy_lower_bound(HE, cmath.exp(1j * math.pi / 8), 1e2, 2)
+    d = cert.diagnostics
+    assert d["semiclassical_r"].hex() == math.sqrt(d["residual_sq"] / d["norm_f_sq"]).hex()
+    smap = scaling.to_semiclassical(HE, 1e2)
+    a, eta = d["anchor_a"], d["anchor_eta"]
+    assert d["semiclassical_z"] == eta * eta + smap.family.eval(smap.h, a)
+    assert cert.h == d["semiclassical_h"] == smap.h
+    # the bound on the fixed operator is below 1, the family's is not
+    assert d["semiclassical_r"] < 1 < cert.r and d["bound_below_one"] is True
+
+
 #: the benchmark's high-energy sweep, (family, arg z / pi, n, sigma), less
 #: the four (family, n, sigma) it leaves out because their quadrature ends
 #: in AccuracyError at the round-off floor of the residual
